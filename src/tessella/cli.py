@@ -22,6 +22,7 @@ from .boxes import FrameRegion
 from .errors import (
     ConditionFails,
     CovolumeMismatch,
+    Incommensurable,
     InvalidDomain,
     NotFree,
     InvalidInput,
@@ -262,6 +263,8 @@ def _check_finite(payload, args) -> int:
 def _check_euclidean(payload, args) -> int:
     L1 = jsonio.parse_lattice(jsonio._require(payload, "lattice", "euclidean"))
     L2 = jsonio.parse_lattice(jsonio._require(payload, "lattice2", "euclidean"))
+    if L1.dim != L2.dim:
+        raise Incommensurable("lattices of different dimension")
     ratio = covolume(L1) / covolume(L2)
     k = floor_frac(ratio)
     report = {

@@ -5,8 +5,8 @@ fundamental domain of an action is a set whose translates under every
 group element partition the atoms; since the partition is indexed by
 group elements, one exists exactly when the action is free. The
 construction operations realize the packing / common-domain existence
-theorems by integer flow on the bipartite multigraph whose edges are
-atoms and whose nodes are the orbits of the two actions.
+theorems by `flows.select_and_deal` on the bipartite multigraph whose
+edges are atoms and whose nodes are the orbits of the two actions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     NotFree,
     TooLarge,
 )
-from .flows import lex_least_selection
+from .flows import select_and_deal
 from .linalg import frac
 
 AtomSet = frozenset
@@ -326,62 +326,17 @@ def check_condition(pair: ActionPair, X: Iterable[int], Y: Iterable[int],
     return ConditionReport(all(b.ok for b in blocks), k, eps, mode, tuple(blocks))
 
 
-def _orbit_index(orbits: Sequence[tuple[int, ...]], n: int) -> list[int]:
-    idx = [0] * n
-    for i, orbit in enumerate(orbits):
-        for a in orbit:
-            idx[a] = i
-    return idx
-
-
-def _block_selection(pair: ActionPair, block: tuple[int, ...], k: int,
-                     extra_orbits: int, exact_left: bool) -> list[int]:
-    """Lex-least atom selection on one joint block.
-
-    Edges are the block's atoms; the left node of an atom is its orbit
-    under the first action, the right node its orbit under the second.
-    Right orbits take k selected atoms, of which exactly extra_orbits
-    many take k + 1; left orbits take at most one, or exactly one when
-    exact_left (the equality-mode constructions, where the union must be
-    a fundamental domain of the first action).
-    """
-    left_ids = _orbit_index(pair.left.orbits(), pair.space.n)
-    right_ids = _orbit_index(pair.right.orbits(), pair.space.n)
-    atoms = list(block)
-    lmap = {o: i for i, o in enumerate(sorted({left_ids[a] for a in atoms}))}
-    rmap = {o: i for i, o in enumerate(sorted({right_ids[a] for a in atoms}))}
-    left_of = [lmap[left_ids[a]] for a in atoms]
-    right_of = [rmap[right_ids[a]] for a in atoms]
-    left_bounds = [(1, 1) if exact_left else (0, 1)] * len(lmap)
-    if extra_orbits == 0:
-        right_bounds = [(k, k)] * len(rmap)
-        total = None
-    else:
-        right_bounds = [(k, k + 1)] * len(rmap)
-        t = k * len(rmap) + extra_orbits
-        total = (t, t)
-    sel = lex_least_selection(left_of, right_of, left_bounds, right_bounds, total)
-    if sel is None:
-        raise ConditionFails("no feasible selection on a joint block")
-    return [atoms[e] for e in sel]
-
-
-def _deal_to_domains(pair: ActionPair, selected: Iterable[int], k: int):
-    """Per right orbit, hand the sorted selected atoms to F_1..F_k and the
-    optional extra atom to F_eps."""
-    right_ids = _orbit_index(pair.right.orbits(), pair.space.n)
-    by_orbit: dict[int, list[int]] = {}
-    for a in sorted(selected):
-        by_orbit.setdefault(right_ids[a], []).append(a)
-    fs = [set() for _ in range(k)]
-    feps = set()
-    for orbit in sorted(by_orbit):
-        chosen = by_orbit[orbit]
-        for i, a in enumerate(chosen):
-            if i < k:
-                fs[i].add(a)
-            else:
-                feps.add(a)
+def _select_and_deal(pair: ActionPair, k: int, eps, exact_left: bool):
+    """`select_and_deal` over the atoms, each labelled by its orbit under
+    the first (left) and the second (right) action; the components of
+    that labelling are the joint-invariant blocks."""
+    n = pair.space.n
+    left_of, right_of = [0] * n, [0] * n
+    for labels, action in ((left_of, pair.left), (right_of, pair.right)):
+        for i, orbit in enumerate(action.orbits()):
+            for a in orbit:
+                labels[a] = i
+    fs, feps = select_and_deal(left_of, right_of, k, eps, exact_left)
     return [frozenset(f) for f in fs], frozenset(feps)
 
 
@@ -392,10 +347,7 @@ def construct_packing_fds(pair: ActionPair, X: Iterable[int], Y: Iterable[int],
     report = check_condition(pair, X, Y, k=k, eps=0, mode="geq")
     if not report.ok:
         raise ConditionFails(_condition_message(report))
-    selected: list[int] = []
-    for block in joint_invariant_partition(pair):
-        selected += _block_selection(pair, block, k, extra_orbits=0, exact_left=False)
-    fs, feps = _deal_to_domains(pair, selected, k)
+    fs, feps = _select_and_deal(pair, k, 0, exact_left=False)
     assert not feps
     for f in fs:
         assert verify_fundamental_domain(pair.right, f).ok
@@ -413,22 +365,14 @@ def construct_k_epsilon(pair: ActionPair, X: Iterable[int], Y: Iterable[int],
     report = check_condition(pair, X, Y, k=k, eps=eps, mode="eq")
     if not report.ok:
         raise ConditionFails(_condition_message(report))
-    right_ids = _orbit_index(pair.right.orbits(), pair.space.n)
-    selected: list[int] = []
-    for block in joint_invariant_partition(pair):
-        r_orbits = len({right_ids[a] for a in block})
-        t = eps * r_orbits
-        # integral because orbit sizes divide the block size
-        assert t.denominator == 1, "non-integer k+1 orbit count on a block"
-        selected += _block_selection(pair, block, k, extra_orbits=int(t), exact_left=True)
-    fs, feps = _deal_to_domains(pair, selected, k)
+    fs, feps = _select_and_deal(pair, k, eps, exact_left=True)
     y_measure = pair.space.measure(atom_set(Y))
     for f in fs:
         assert verify_fundamental_domain(pair.right, f).ok
         assert pair.space.measure(f) == y_measure
     assert verify_packing(pair.right, [feps]).ok
     assert pair.space.measure(feps) == eps * y_measure
-    union = frozenset(selected)
+    union = feps.union(*fs)
     assert verify_fundamental_domain(pair.left, union).ok
     assert verify_packing(pair.left, list(fs) + [feps]).ok
     return fs, feps

@@ -7,12 +7,20 @@ Feasibility is a circulation-with-lower-bounds check; the returned
 selection is the lexicographically least feasible one (edges are forced
 one at a time in index order), which makes every construction in the
 package deterministic.
+
+`select_and_deal` is the one selection both engines share: the items are
+atoms (labelled by their orbits under the two actions) or lattice cells
+(labelled by their cosets), the joint blocks are the connected components
+of the labelling, and the selected items are dealt per right label to the
+domains F_1..F_k and the remainder F_eps.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Hashable, Iterator, Optional, Sequence
+
+from .errors import ConditionFails
 
 
 class _Dinic:
@@ -149,3 +157,79 @@ def lex_least_selection(
         if not _feasible(left_of, right_of, left_bounds, right_bounds, total_bounds, forced):
             forced[e] = 0
     return [e for e in range(len(left_of)) if forced[e] == 1]
+
+
+def _blocks(left_of: Sequence[Hashable], right_of: Sequence[Hashable]) -> Iterator[list[int]]:
+    """Connected components of the label graph, each a sorted list of
+    item indices, in order of their least item."""
+    by_left: dict[Hashable, list[int]] = {}
+    by_right: dict[Hashable, list[int]] = {}
+    for e, (a, b) in enumerate(zip(left_of, right_of)):
+        by_left.setdefault(a, []).append(e)
+        by_right.setdefault(b, []).append(e)
+    seen = [False] * len(left_of)
+    for start in range(len(left_of)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            e = stack.pop()
+            block.append(e)
+            # popping a label expands it once, so the search is linear
+            for f in by_left.pop(left_of[e], []) + by_right.pop(right_of[e], []):
+                if not seen[f]:
+                    seen[f] = True
+                    stack.append(f)
+        yield sorted(block)
+
+
+def select_and_deal(
+    left_of: Sequence[Hashable],
+    right_of: Sequence[Hashable],
+    k: int,
+    eps,
+    exact_left: bool,
+) -> tuple[list[list[int]], list[int]]:
+    """Lex-least selection per joint block, dealt to F_1..F_k and F_eps.
+
+    Item i carries the left label left_of[i] and the right label
+    right_of[i]; the joint blocks are the connected components of the
+    graph joining items that share a label. On a block with r right
+    labels, every right label takes k selected items, and exactly eps * r
+    of them take k + 1; every left label takes at most one item, or
+    exactly one when exact_left. Per right label, the selected items in
+    index order go to F_1..F_k and the extra one to F_eps. Returns the
+    sorted item indices of F_1..F_k and of F_eps; ConditionFails when a
+    block admits no selection.
+    """
+    selected: list[int] = []
+    for block in _blocks(left_of, right_of):
+        lmap: dict[Hashable, int] = {}
+        rmap: dict[Hashable, int] = {}
+        left = [lmap.setdefault(left_of[e], len(lmap)) for e in block]
+        right = [rmap.setdefault(right_of[e], len(rmap)) for e in block]
+        extra = eps * len(rmap)
+        if extra.denominator != 1:
+            raise ConditionFails("non-integer k+1 label count on a joint block")
+        if extra == 0:
+            right_bounds = [(k, k)] * len(rmap)
+            total = None
+        else:
+            right_bounds = [(k, k + 1)] * len(rmap)
+            t = k * len(rmap) + int(extra)
+            total = (t, t)
+        left_bounds = [(1, 1) if exact_left else (0, 1)] * len(lmap)
+        sel = lex_least_selection(left, right, left_bounds, right_bounds, total)
+        if sel is None:
+            raise ConditionFails("no feasible selection on a joint block")
+        selected += [block[e] for e in sel]
+
+    fs: list[list[int]] = [[] for _ in range(k)]
+    feps: list[int] = []
+    dealt: dict[Hashable, int] = {}
+    for e in sorted(selected):
+        i = dealt.get(right_of[e], 0)
+        dealt[right_of[e]] = i + 1
+        (fs[i] if i < k else feps).append(e)
+    return fs, feps

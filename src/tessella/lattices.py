@@ -34,7 +34,7 @@ from .errors import (
     NotSublattice,
 )
 from .finite import VerifyResult
-from .flows import lex_least_selection
+from .flows import select_and_deal
 from .linalg import (
     Mat,
     Vec,
@@ -258,13 +258,25 @@ class _CellSystem:
         return FrameRegion(self.S.basis, boxes)
 
 
+def _select_and_deal(cs: _CellSystem, k: int, eps) -> tuple[list[list], list]:
+    """`select_and_deal` over the cells, each labelled by its L1-coset and
+    its L2-coset; returns the cell offsets of F_1..F_k and of F_eps."""
+    lab1 = cs.coset_labels(cs.v1)
+    lab2 = cs.coset_labels(cs.v2)
+    fs, feps = select_and_deal([lab1[r] for r in cs.reps], [lab2[r] for r in cs.reps],
+                               k, eps, exact_left=True)
+    return [[cs.reps[e] for e in f] for f in fs], [cs.reps[e] for e in feps]
+
+
 def common_fd_commensurable(L1: EucLattice, L2: EucLattice) -> FrameRegion:
     """A region tiling by both lattices, of measure the shared covolume.
 
-    Cells of the sum lattice modulo the intersection are matched one per
-    L1-coset and one per L2-coset (the bipartite multigraph is regular,
-    so a perfect matching always exists); the lexicographically least
-    matching is returned. Verified against both lattices before return.
+    Cells of the sum lattice modulo the intersection are labelled by
+    their L1-coset and their L2-coset, and `flows.select_and_deal` with
+    k = 1, eps = 0 picks one cell per coset on each side (the bipartite
+    multigraph is regular, so a perfect matching always exists); the
+    lexicographically least matching is returned. Verified against both
+    lattices before return.
     """
     if L1.dim != L2.dim:
         raise Incommensurable("lattices of different dimension")
@@ -274,18 +286,8 @@ def common_fd_commensurable(L1: EucLattice, L2: EucLattice) -> FrameRegion:
     if L1.same_lattice(L2):
         return fundamental_parallelepiped(L1)
     cs = _CellSystem(L1, L2)
-    lab1 = cs.coset_labels(cs.v1)
-    lab2 = cs.coset_labels(cs.v2)
-    left_ids = sorted(set(lab1.values()))
-    right_ids = sorted(set(lab2.values()))
-    lmap = {c: i for i, c in enumerate(left_ids)}
-    rmap = {c: i for i, c in enumerate(right_ids)}
-    left_of = [lmap[lab1[r]] for r in cs.reps]
-    right_of = [rmap[lab2[r]] for r in cs.reps]
-    sel = lex_least_selection(
-        left_of, right_of, [(1, 1)] * len(left_ids), [(1, 1)] * len(right_ids))
-    assert sel is not None, "regular bipartite multigraph lost its matching"
-    D = cs.cell_region([cs.reps[e] for e in sel])
+    fs_cells, _ = _select_and_deal(cs, 1, 0)
+    D = cs.cell_region(fs_cells[0])
     assert verify_tiling_exact(D, L1).ok
     assert verify_tiling_exact(D, L2).ok
     assert D.measure == covolume(L1)
@@ -300,8 +302,9 @@ def construct_k_epsilon_lattices(
     family partitioning a region that tiles by L1.
 
     Cells are refined along the first frame axis by the denominator of
-    eps; the selection runs block-wise over the joint cosets with the
-    same degree constraints as the finite engine.
+    eps; `flows.select_and_deal` then runs the finite engine's selection
+    on the cells, labelled by their L1- and L2-cosets, whose components
+    are the joint cosets.
     """
     if L1.dim != L2.dim:
         raise Incommensurable("lattices of different dimension")
@@ -313,56 +316,15 @@ def construct_k_epsilon_lattices(
     k = floor_frac(ratio)
     eps = ratio - k
     cs = _CellSystem(L1, L2, first_axis_split=eps.denominator)
-    lab1 = cs.coset_labels(cs.v1)
-    lab2 = cs.coset_labels(cs.v2)
-    joint = cs.coset_labels(_subgroup_closure(
-        [list(v) for v in cs.v1] + [list(v) for v in cs.v2], cs.H))
-    blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for r in cs.reps:
-        blocks.setdefault(joint[r], []).append(r)
-
-    selected: list[tuple[int, ...]] = []
-    for lead in sorted(blocks):
-        reps = sorted(blocks[lead])
-        left_ids = sorted({lab1[r] for r in reps})
-        right_ids = sorted({lab2[r] for r in reps})
-        lmap = {c: i for i, c in enumerate(left_ids)}
-        rmap = {c: i for i, c in enumerate(right_ids)}
-        t = eps * len(right_ids)
-        assert t.denominator == 1, "non-integer k+1 coset count on a block"
-        t = int(t)
-        left_of = [lmap[lab1[r]] for r in reps]
-        right_of = [rmap[lab2[r]] for r in reps]
-        if t == 0:
-            bounds = [(k, k)] * len(right_ids)
-            total = None
-        else:
-            bounds = [(k, k + 1)] * len(right_ids)
-            tot = k * len(right_ids) + t
-            total = (tot, tot)
-        sel = lex_least_selection(
-            left_of, right_of, [(1, 1)] * len(left_ids), bounds, total)
-        if sel is None:
-            raise ConditionFails("no feasible cell selection on a joint block")
-        selected += [reps[e] for e in sel]
-
-    by_right: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for r in sorted(selected):
-        by_right.setdefault(lab2[r], []).append(r)
-    fs_cells = [[] for _ in range(k)]
-    feps_cells = []
-    for label in sorted(by_right):
-        chosen = by_right[label]
-        for i, r in enumerate(chosen):
-            (fs_cells[i] if i < k else feps_cells).append(r)
+    fs_cells, feps_cells = _select_and_deal(cs, k, eps)
     fs = [cs.cell_region(cells) for cells in fs_cells]
-    feps = cs.cell_region(feps_cells) if feps_cells else FrameRegion(cs.S.basis, ())
+    feps = cs.cell_region(feps_cells)
     for f in fs:
         assert verify_tiling_exact(f, L2).ok
         assert f.measure == covolume(L2)
     assert verify_packing_exact(feps, L2).ok
     assert feps.measure == eps * covolume(L2)
-    union = cs.cell_region(selected)
+    union = cs.cell_region(feps_cells + [r for cells in fs_cells for r in cells])
     assert verify_tiling_exact(union, L1).ok
     return fs, feps
 

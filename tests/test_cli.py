@@ -182,6 +182,23 @@ def test_verify_failure_exits_2_with_witness(tmp_path, capsys):
     assert rep["witness"]["multiplicity"] == 0
 
 
+def test_check_dimension_mismatch_exits_4(tmp_path, capsys):
+    doc = {
+        "schema": "tessella-euclidean/1",
+        "lattice": {"dim": 3, "basis": [["1", "0", "0"], ["0", "1", "0"],
+                                        ["0", "0", "2"]]},
+        "lattice2": {"dim": 2, "basis": [["1", "0"], ["0", "1"]]},
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("check", "common-fd"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "different dimension" in captured.err
+
+
 def test_missing_file_exits_4(capsys):
     code = main(["covol", "/nonexistent/nope.json"])
     err = capsys.readouterr().err

@@ -192,6 +192,18 @@ def test_k_epsilon_zero_eps_matches_packing():
     assert fs == construct_packing_fds(pair, {0, 1, 2}, {0, 1, 2}, k=1)
 
 
+def test_k_epsilon_frozen_on_two_blocks():
+    # shifts by 6 and by 4 on twelve atoms: the joint blocks are the even
+    # and the odd atoms; |Lambda| / |Gamma| = 3/2, so k = 1, eps = 1/2
+    pair = cyclic_pair(12, 6, 2, 4, 3, weights=[1, 2] * 6)
+    assert len(joint_invariant_partition(pair)) == 2
+    fs, feps = construct_k_epsilon(pair, range(6), range(4),
+                                   k=1, eps=Fraction(1, 2))
+    assert fs == [frozenset({0, 1, 2, 3})]
+    assert feps == frozenset({4, 5})
+    assert construct_packing_fds(pair, range(6), range(4), k=1) == fs
+
+
 def test_k_epsilon_two_singleton_domains():
     pair = cyclic_pair(4, 2, 2, 1, 4)
     fs, feps = construct_k_epsilon(pair, {0, 1}, {0}, k=2, eps=0)

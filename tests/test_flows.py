@@ -1,8 +1,11 @@
+from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
-from tessella.flows import lex_least_selection
+from tessella.errors import ConditionFails
+from tessella.flows import lex_least_selection, select_and_deal
 
 
 def brute_greedy(left_of, right_of, left_bounds, right_bounds, total_bounds):
@@ -100,3 +103,61 @@ def _ok(sel, left_of, right_of, left_bounds, right_bounds):
         rd[right_of[e]] += 1
     return all(lo <= d <= hi for d, (lo, hi) in zip(ld, left_bounds)) and \
         all(lo <= d <= hi for d, (lo, hi) in zip(rd, right_bounds))
+
+
+# --------------------------------------------------------- select_and_deal
+
+
+@given(st.data())
+def test_select_and_deal_is_one_selection_dealt(data):
+    k = data.draw(st.integers(1, 2))
+    exact_left = data.draw(st.booleans())
+    nr = data.draw(st.integers(1, 4))
+    # plant k distinct left labels per right label, so a selection exists;
+    # without exact_left, some left labels may stay unused
+    nl = k * nr + (0 if exact_left else data.draw(st.integers(0, 2)))
+    edges = [(j * k + i, j) for j in range(nr) for i in range(k)]
+    edges += data.draw(st.lists(
+        st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1)), max_size=8))
+    edges = data.draw(st.permutations(edges))
+    # labels need only be hashable
+    left_of = [f"l{a}" for a, _ in edges]
+    right_of = [("r", b) for _, b in edges]
+
+    fs, feps = select_and_deal(left_of, right_of, k, 0, exact_left)
+
+    assert feps == []
+    whole = lex_least_selection(
+        [a for a, _ in edges], [b for _, b in edges],
+        [(1, 1) if exact_left else (0, 1)] * nl, [(k, k)] * nr)
+    assert sorted(e for f in fs for e in f) == whole
+    assert all(f == sorted(f) for f in fs)
+    for f in fs:
+        # each domain takes one item per right label
+        assert sorted(right_of[e] for e in f) == sorted({*right_of})
+    left_counts = [sum(left_of[e] == f"l{a}" for f in fs for e in f)
+                   for a in range(nl)]
+    assert all(c == 1 if exact_left else c <= 1 for c in left_counts)
+
+
+def test_select_and_deal_sends_the_extra_item_to_f_eps():
+    # one block, right labels x and y, eps = 1/2: one of them takes k + 1
+    left_of = ["a", "b", "c", "b", "c"]
+    right_of = ["x", "x", "y", "y", "x"]
+    fs, feps = select_and_deal(left_of, right_of, 1, Fraction(1, 2), True)
+    assert fs == [[0, 2]]
+    assert feps == [1]
+
+
+def test_select_and_deal_blocks_are_independent():
+    # interleaved components {0, 2} and {1, 3, 4, 5}; in the second, item
+    # 3 would reuse left label 0, so right label 4 takes item 4
+    left_of = [2, 0, 2, 0, 1, 1]
+    right_of = [5, 3, 5, 4, 4, 3]
+    fs, feps = select_and_deal(left_of, right_of, 1, 0, False)
+    assert fs == [[0, 1, 4]] and feps == []
+
+
+def test_select_and_deal_infeasible_block():
+    with pytest.raises(ConditionFails):
+        select_and_deal(["a", "a"], ["x", "y"], 1, 0, True)

@@ -282,7 +282,7 @@ def test_common_domain_random_pairs():
 def test_split_two_stacked_domains():
     fs, feps = construct_k_epsilon_lattices(
         EucLattice.standard(2), L((1, 0), (0, "1/2")))
-    assert feps is None or feps.measure == 0
+    assert feps.boxes == ()
     assert len(fs) == 2
     for f in fs:
         assert f.measure == Fraction(1, 2)
@@ -293,7 +293,7 @@ def test_split_identical_lattices():
     fs, feps = construct_k_epsilon_lattices(HALF_TALL, HALF_TALL)
     assert len(fs) == 1
     assert fs[0].measure == 1
-    assert feps is None or feps.measure == 0
+    assert feps.boxes == ()
 
 
 def test_split_fractional_remainder():
@@ -304,6 +304,32 @@ def test_split_fractional_remainder():
     assert feps.measure == Fraction(1, 3)
     assert verify_tiling_exact(fs[0], L(("2/3", 0), (0, 1))).ok
     assert verify_packing_exact(feps, L(("2/3", 0), (0, 1))).ok
+
+
+def unit_cells(lo, hi):
+    """The unit boxes [i, i+1) x [0, 1) of a 2-D frame, lo <= i < hi."""
+    return tuple(make_box((i, 0), (i + 1, 1)) for i in range(lo, hi))
+
+
+def test_split_frozen_on_three_blocks():
+    # ratio 5/3: k = 1, eps = 2/3; the 45 cells of the sum lattice refined
+    # by 3 along its first axis fall into three joint cosets
+    fs, feps = construct_k_epsilon_lattices(
+        EucLattice.standard(2), L(("3/5", 0), (0, 1)))
+    frame = mat([["1/15", 0], [0, 1]])
+    assert [f.frame for f in fs] == [frame] and feps.frame == frame
+    assert fs[0].boxes == unit_cells(0, 9)
+    assert feps.boxes == unit_cells(9, 15)
+
+
+def test_split_frozen_on_two_blocks():
+    # ratio 3/2: k = 1, eps = 1/2; the 12 refined cells form two joint cosets
+    fs, feps = construct_k_epsilon_lattices(
+        EucLattice.standard(2), L(("2/3", 0), (0, 1)))
+    frame = mat([["1/6", 0], [0, 1]])
+    assert [f.frame for f in fs] == [frame] and feps.frame == frame
+    assert fs[0].boxes == unit_cells(0, 4)
+    assert feps.boxes == unit_cells(4, 6)
 
 
 def test_split_rejects_small_first_lattice():
