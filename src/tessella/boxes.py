@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import InvalidInput
+from .errors import ConstructionFailed, InvalidInput
 from .linalg import (
     Mat,
     Vec,
@@ -194,7 +194,7 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
     and coordinates are reduced in ascending order by cutting each box
     at multiples of H[j][j] and translating pieces by -m * column_j
     (which only moves coordinates >= j). Total measure is conserved
-    across multiplicity levels, asserted on every call.
+    across multiplicity levels, checked on every call (ConstructionFailed).
     """
     B = region.frame
     n = region.dim
@@ -255,5 +255,7 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
     total = sum(
         (Fraction(m) * reduced.level_measure(m) for m in reduced.levels), Fraction(0)
     )
-    assert total == region.measure, "measure not conserved during reduction"
+    if total != region.measure:
+        raise ConstructionFailed("measure not conserved during reduction",
+                                 {"measure": total, "expected": region.measure})
     return reduced

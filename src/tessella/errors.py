@@ -2,8 +2,12 @@
 
 The CLI maps these onto its exit-code contract: obstruction errors
 (the mathematics says no) exit 3, verification failures exit 2, and
-malformed input exits 4.
+malformed input or a refused request exits 4. `ConstructionFailed` is
+the verification failure an engine raises when its own re-check of an
+object it built fails; it carries the witness of that check.
 """
+
+from typing import Optional
 
 
 class TessellaError(Exception):
@@ -23,6 +27,16 @@ class InvalidDomain(TessellaError):
     """A set that was required to be a verified fundamental domain is not."""
 
 
+class ConstructionFailed(TessellaError):
+    """An engine's re-verification rejected an object the engine itself
+    built (CLI exit 2). `witness` names what failed, e.g. an atom and its
+    cover count, or a point and its multiplicity."""
+
+    def __init__(self, message: str, witness: Optional[dict] = None):
+        super().__init__(message)
+        self.witness = witness or {}
+
+
 class ConditionFails(TessellaError):
     """The measure condition on joint-invariant sets fails, so the requested
     construction provably does not exist (CLI exit 3)."""
@@ -34,7 +48,9 @@ class InvalidAlpha(TessellaError):
 
 
 class TooLarge(TessellaError):
-    """Instance exceeds the configured bound of a brute-force oracle."""
+    """Request exceeds a size budget checked before the work starts: the
+    atom bound of the brute-force oracle, or the cell budget of the
+    lattice constructions (CLI exit 4)."""
 
 
 class Incommensurable(TessellaError):

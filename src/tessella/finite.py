@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ConditionFails,
+    ConstructionFailed,
     InvalidAlpha,
     InvalidDomain,
     InvalidInput,
@@ -219,6 +220,36 @@ class VerifyResult:
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self, what: str) -> None:
+        """Postcondition of a construction: raise ConstructionFailed,
+        naming `what` failed and carrying the witness, unless ok."""
+        if not self.ok:
+            raise ConstructionFailed(what, self.witness)
+
+
+def measure_result(measure: Fraction, expected: Fraction) -> VerifyResult:
+    """Exact comparison of a constructed measure with the one required."""
+    if measure == expected:
+        return VerifyResult(True)
+    return VerifyResult(False, {"measure": measure, "expected": expected})
+
+
+def _cover_check(action: FiniteAction, family: Sequence[Iterable[int]],
+                 exact: bool) -> VerifyResult:
+    """Count how often the translates of the sets in family cover each
+    atom; fail on the lowest atom covered twice or more, or, when exact,
+    covered zero times."""
+    counts = [0] * action.space.n
+    for F in family:
+        F = atom_set(F)
+        for p in action.perms:
+            for a in F:
+                counts[p[a]] += 1
+    for a, c in enumerate(counts):
+        if c > 1 or (exact and c == 0):
+            return VerifyResult(False, {"atom": a, "count": c})
+    return VerifyResult(True)
+
 
 def verify_fundamental_domain(action: FiniteAction, X: Iterable[int]) -> VerifyResult:
     """True iff the |G| translates of X partition the atoms.
@@ -226,29 +257,12 @@ def verify_fundamental_domain(action: FiniteAction, X: Iterable[int]) -> VerifyR
     On failure the witness is an atom covered zero or at least two times,
     the lowest such index.
     """
-    X = atom_set(X)
-    counts = [0] * action.space.n
-    for g in range(len(action.group)):
-        for a in X:
-            counts[action.perms[g][a]] += 1
-    for a, c in enumerate(counts):
-        if c != 1:
-            return VerifyResult(False, {"atom": a, "count": c})
-    return VerifyResult(True)
+    return _cover_check(action, [X], exact=True)
 
 
 def verify_packing(action: FiniteAction, family: Sequence[Iterable[int]]) -> VerifyResult:
     """True iff all translates g.F_i over all (g, i) are pairwise disjoint."""
-    counts = [0] * action.space.n
-    for F in family:
-        F = atom_set(F)
-        for g in range(len(action.group)):
-            for a in F:
-                counts[action.perms[g][a]] += 1
-    for a, c in enumerate(counts):
-        if c > 1:
-            return VerifyResult(False, {"atom": a, "count": c})
-    return VerifyResult(True)
+    return _cover_check(action, family, exact=False)
 
 
 def find_fundamental_domain(action: FiniteAction) -> AtomSet:
@@ -348,10 +362,14 @@ def construct_packing_fds(pair: ActionPair, X: Iterable[int], Y: Iterable[int],
     if not report.ok:
         raise ConditionFails(_condition_message(report))
     fs, feps = _select_and_deal(pair, k, 0, exact_left=False)
-    assert not feps
-    for f in fs:
-        assert verify_fundamental_domain(pair.right, f).ok
-    assert verify_packing(pair.left, fs).ok
+    if feps:
+        raise ConstructionFailed("the packing construction left a remainder",
+                                 {"atom": min(feps)})
+    for i, f in enumerate(fs, 1):
+        verify_fundamental_domain(pair.right, f).require(
+            f"F_{i} is not a fundamental domain of the second action")
+    verify_packing(pair.left, fs).require(
+        "F_1..F_k do not pack under the first action")
     return fs
 
 
@@ -367,25 +385,29 @@ def construct_k_epsilon(pair: ActionPair, X: Iterable[int], Y: Iterable[int],
         raise ConditionFails(_condition_message(report))
     fs, feps = _select_and_deal(pair, k, eps, exact_left=True)
     y_measure = pair.space.measure(atom_set(Y))
-    for f in fs:
-        assert verify_fundamental_domain(pair.right, f).ok
-        assert pair.space.measure(f) == y_measure
-    assert verify_packing(pair.right, [feps]).ok
-    assert pair.space.measure(feps) == eps * y_measure
-    union = feps.union(*fs)
-    assert verify_fundamental_domain(pair.left, union).ok
-    assert verify_packing(pair.left, list(fs) + [feps]).ok
+    for i, f in enumerate(fs, 1):
+        verify_fundamental_domain(pair.right, f).require(
+            f"F_{i} is not a fundamental domain of the second action")
+        measure_result(pair.space.measure(f), y_measure).require(
+            f"F_{i} does not have the measure of Y")
+    verify_packing(pair.right, [feps]).require(
+        "F_eps does not pack under the second action")
+    measure_result(pair.space.measure(feps), eps * y_measure).require(
+        "F_eps does not have measure eps * m(Y)")
+    verify_fundamental_domain(pair.left, feps.union(*fs)).require(
+        "F_1..F_k and F_eps do not form a fundamental domain of the first action")
+    verify_packing(pair.left, list(fs) + [feps]).require(
+        "F_1..F_k and F_eps overlap under the first action")
     return fs, feps
 
 
 def construct_common_fd(pair: ActionPair, X: Iterable[int], Y: Iterable[int]) -> AtomSet:
     """A set that is a fundamental domain for both actions; exists iff the
-    equality condition holds with k = 1, eps = 0."""
+    equality condition holds with k = 1, eps = 0. With eps = 0, F_eps has
+    measure zero and so is empty, and `construct_k_epsilon` has verified
+    F_1 against both actions."""
     fs, _ = construct_k_epsilon(pair, X, Y, k=1, eps=0)
-    common = fs[0]
-    assert verify_fundamental_domain(pair.left, common).ok
-    assert verify_fundamental_domain(pair.right, common).ok
-    return common
+    return fs[0]
 
 
 def _condition_message(report: ConditionReport) -> str:
@@ -578,8 +600,10 @@ def semidirect_common_fd(action: FiniteAction, X: Iterable[int],
             shift = group.pair_index(lam.inv(l), ge)
             domain.add(_left_view(action, shift)[y])
     result = frozenset(domain)
-    assert verify_fundamental_domain(gamma_restriction, result).ok
-    assert verify_fundamental_domain(lambda_restriction, result).ok
+    verify_fundamental_domain(gamma_restriction, result).require(
+        "the domain is not a fundamental domain of the 1 x Gamma restriction")
+    verify_fundamental_domain(lambda_restriction, result).require(
+        "the domain is not a fundamental domain of the Lambda x 1 restriction")
     return result
 
 

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from .boxes import Box
 from .errors import (
+    ConstructionFailed,
     InvalidInput,
     NotMeasurePreserving,
     TooLarge,
@@ -331,13 +332,15 @@ def reduce_left(g: HeisPoint, L: HeisLattice) -> Reduction:
     planar part off leaves a central residue s, and n3 = floor(s - n1 n2
     det A) puts the remainder in [0, 1). Existence and uniqueness of the
     decomposition is exactly this computation run forward and backward.
+    Both reductions check omega and the product before return
+    (ConstructionFailed otherwise).
     """
     n1, n2, p, q = _planar_split(L, g)
     s = g.c - (p[0] * q[1] - p[1] * q[0])
     n3 = floor_frac(s - n1 * n2 * L.planar_det)
     gamma = L.element(n1, n2, n3)
     omega = heis_mul(heis_inv(gamma), g)
-    assert cell_contains(L, omega) and heis_mul(gamma, omega) == g
+    _check_reduction(L, g, omega, heis_mul(gamma, omega))
     return Reduction(gamma, (n1, n2, n3), omega)
 
 
@@ -348,8 +351,18 @@ def reduce_right(g: HeisPoint, L: HeisLattice) -> Reduction:
     n3 = floor_frac(s - n1 * n2 * L.planar_det)
     gamma = L.element(n1, n2, n3)
     omega = heis_mul(g, heis_inv(gamma))
-    assert cell_contains(L, omega) and heis_mul(omega, gamma) == g
+    _check_reduction(L, g, omega, heis_mul(omega, gamma))
     return Reduction(gamma, (n1, n2, n3), omega)
+
+
+def _check_reduction(L: HeisLattice, g: HeisPoint, omega: HeisPoint,
+                     product: HeisPoint) -> None:
+    """Postcondition of both reductions: omega lies in the cell and the
+    product of gamma and omega, in the side's order, gives back g."""
+    if not cell_contains(L, omega) or product != g:
+        raise ConstructionFailed(
+            "the reduction does not put the point into the cell",
+            {"point": list(g.as_tuple()), "omega": list(omega.as_tuple())})
 
 
 @dataclass(frozen=True)

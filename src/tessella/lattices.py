@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .boxes import (
@@ -32,8 +33,9 @@ from .errors import (
     InvalidDomain,
     InvalidInput,
     NotSublattice,
+    TooLarge,
 )
-from .finite import VerifyResult
+from .finite import VerifyResult, measure_result
 from .flows import select_and_deal
 from .linalg import (
     Mat,
@@ -141,6 +143,21 @@ def _witness_point(reduced: ReducedRegion, cell: Box) -> list[Fraction]:
     return list(mat_vec(reduced.frame, box_center(cell)))
 
 
+def _multiplicity_check(R: FrameRegion, L: EucLattice, exact: bool) -> VerifyResult:
+    """Reduce R modulo L; fail on a point of the least multiplicity >= 2,
+    or, when exact, on an uncovered point (multiplicity 0)."""
+    red = region_reduce_mod(R, L)
+    for m in sorted(red.levels):
+        if m >= 2:
+            cell = red.levels[m][0]
+            return VerifyResult(False, {
+                "point": _witness_point(red, cell), "multiplicity": m})
+    if exact and red.uncovered:
+        return VerifyResult(False, {
+            "point": _witness_point(red, red.uncovered[0]), "multiplicity": 0})
+    return VerifyResult(True)
+
+
 def verify_tiling_exact(R: FrameRegion, L: EucLattice) -> VerifyResult:
     """Exact tiling check: translates of R under L partition R^n.
 
@@ -148,27 +165,12 @@ def verify_tiling_exact(R: FrameRegion, L: EucLattice) -> VerifyResult:
     torus. The witness of a failure is a rational point covered zero or
     at least two times.
     """
-    red = region_reduce_mod(R, L)
-    for m in sorted(red.levels):
-        if m >= 2:
-            cell = red.levels[m][0]
-            return VerifyResult(False, {
-                "point": _witness_point(red, cell), "multiplicity": m})
-    if red.uncovered:
-        return VerifyResult(False, {
-            "point": _witness_point(red, red.uncovered[0]), "multiplicity": 0})
-    return VerifyResult(True)
+    return _multiplicity_check(R, L, exact=True)
 
 
 def verify_packing_exact(R: FrameRegion, L: EucLattice) -> VerifyResult:
     """Exact packing check: translates of R under L are pairwise disjoint."""
-    red = region_reduce_mod(R, L)
-    for m in sorted(red.levels):
-        if m >= 2:
-            cell = red.levels[m][0]
-            return VerifyResult(False, {
-                "point": _witness_point(red, cell), "multiplicity": m})
-    return VerifyResult(True)
+    return _multiplicity_check(R, L, exact=False)
 
 
 def _reduce_vec(v: list[int], H: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -206,13 +208,20 @@ def _subgroup_closure(gens: Sequence[Sequence[int]], H) -> set[tuple[int, ...]]:
     return seen
 
 
+# Most cells a lattice construction enumerates: five times the largest
+# request of the test suite (1521 cells). Near the budget a common domain
+# takes about 15 s on one 2-vCPU host (7569 cells; 6400 cells take 10 s).
+MAX_CELLS = 7700
+
+
 class _CellSystem:
     """Cells of the sum lattice S modulo Delta = L1 ^ L2.
 
     Cells are the unit boxes of the S frame at the integer offsets of the
     HNF transversal of Delta in S; the quotients L1/Delta and L2/Delta
     act on the offsets by addition. This is the exact combinatorial
-    skeleton on which the matching constructions run.
+    skeleton on which the matching constructions run. The cell count
+    [S : Delta] is checked against MAX_CELLS before any cell is built.
     """
 
     def __init__(self, L1: EucLattice, L2: EucLattice, first_axis_split: int = 1):
@@ -233,6 +242,9 @@ class _CellSystem:
             raise NotSublattice("intersection not contained in the sum lattice")
         self.H = hnf([[int(x) for x in row] for row in C])
         n = S.dim
+        cells = prod(self.H[j][j] for j in range(n))
+        if cells > MAX_CELLS:
+            raise TooLarge(f"{cells} cells exceed the budget of {MAX_CELLS}")
         self.reps = sorted(product(*[range(self.H[j][j]) for j in range(n)]))
         self.v1 = _subgroup_closure(_integer_image(L1, S), self.H)
         self.v2 = _subgroup_closure(_integer_image(L2, S), self.H)
@@ -275,8 +287,9 @@ def common_fd_commensurable(L1: EucLattice, L2: EucLattice) -> FrameRegion:
     their L1-coset and their L2-coset, and `flows.select_and_deal` with
     k = 1, eps = 0 picks one cell per coset on each side (the bipartite
     multigraph is regular, so a perfect matching always exists); the
-    lexicographically least matching is returned. Verified against both
-    lattices before return.
+    lexicographically least matching is returned. This is F_1 of
+    `construct_k_epsilon_lattices` with k = 1, eps = 0, which verifies it
+    against both lattices before return.
     """
     if L1.dim != L2.dim:
         raise Incommensurable("lattices of different dimension")
@@ -285,13 +298,7 @@ def common_fd_commensurable(L1: EucLattice, L2: EucLattice) -> FrameRegion:
             f"covolumes differ: {covolume(L1)} vs {covolume(L2)}")
     if L1.same_lattice(L2):
         return fundamental_parallelepiped(L1)
-    cs = _CellSystem(L1, L2)
-    fs_cells, _ = _select_and_deal(cs, 1, 0)
-    D = cs.cell_region(fs_cells[0])
-    assert verify_tiling_exact(D, L1).ok
-    assert verify_tiling_exact(D, L2).ok
-    assert D.measure == covolume(L1)
-    return D
+    return construct_k_epsilon_lattices(L1, L2)[0][0]
 
 
 def construct_k_epsilon_lattices(
@@ -304,12 +311,13 @@ def construct_k_epsilon_lattices(
     Cells are refined along the first frame axis by the denominator of
     eps; `flows.select_and_deal` then runs the finite engine's selection
     on the cells, labelled by their L1- and L2-cosets, whose components
-    are the joint cosets.
+    are the joint cosets. More than MAX_CELLS refined cells raise
+    TooLarge before any is built; every part is verified before return,
+    and a failed check raises ConstructionFailed with its witness.
     """
     if L1.dim != L2.dim:
         raise Incommensurable("lattices of different dimension")
     ratio = covolume(L1) / covolume(L2)
-    assert isinstance(ratio, Fraction)
     if ratio < 1:
         raise ConditionFails(
             f"covolume ratio {ratio} < 1 leaves no room for a fundamental domain")
@@ -319,13 +327,16 @@ def construct_k_epsilon_lattices(
     fs_cells, feps_cells = _select_and_deal(cs, k, eps)
     fs = [cs.cell_region(cells) for cells in fs_cells]
     feps = cs.cell_region(feps_cells)
-    for f in fs:
-        assert verify_tiling_exact(f, L2).ok
-        assert f.measure == covolume(L2)
-    assert verify_packing_exact(feps, L2).ok
-    assert feps.measure == eps * covolume(L2)
+    for i, f in enumerate(fs, 1):
+        verify_tiling_exact(f, L2).require(f"F_{i} does not tile by L2")
+        measure_result(f.measure, covolume(L2)).require(
+            f"F_{i} does not have the covolume of L2")
+    verify_packing_exact(feps, L2).require("F_eps does not pack by L2")
+    measure_result(feps.measure, eps * covolume(L2)).require(
+        "F_eps does not have measure eps * covolume(L2)")
     union = cs.cell_region(feps_cells + [r for cells in fs_cells for r in cells])
-    assert verify_tiling_exact(union, L1).ok
+    verify_tiling_exact(union, L1).require(
+        "F_1..F_k and F_eps do not tile by L1")
     return fs, feps
 
 

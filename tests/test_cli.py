@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -223,3 +224,66 @@ def test_wrong_schema_for_command_exits_4(capsys):
     code = main(["covol", inst("z6_one_plus_half.json")])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_4_with_empty_stdout(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    for argv in (["covol", inst("heis_integer.json")],
+                 ["growth", "4", "--svg"]):
+        code = main(argv + ["--out", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write")
+
+
+# command line -> the plot flags the command honours
+PLOT_FLAGS = {
+    "covol heis_integer.json": (),
+    "common-fd pair_square_rectangle.json": ("--svg",),
+    "verify square_tiling.json": ("--svg",),
+    "check obstruction_two_components.json": (),
+    "growth 4": ("--svg", "--csv"),
+    "boundary boundary_cubes.json": ("--svg", "--csv"),
+    "finite check z6_one_plus_half.json": (),
+    "finite construct z6_one_plus_half.json": (),
+    "finite oracle z6_one_plus_half.json": (),
+    "heis mul heis_integer.json": (),
+    "heis exp heis_integer.json": (),
+    "heis reduce heis_reduce.json": (),
+    "heis covol heis_integer.json": (),
+    "heis mc-verify heis_psi_cell.json --samples 8": (),
+}
+
+
+@pytest.mark.parametrize("line", list(PLOT_FLAGS))
+def test_plot_flags_only_where_honoured(line, tmp_path, capsys):
+    argv = [inst(a) if a.endswith(".json") else a for a in line.split()]
+    out = tmp_path / "report.json"
+    for flag in ("--svg", "--csv"):
+        code = main(argv + ["--out", str(out), flag])
+        captured = capsys.readouterr()
+        if flag in PLOT_FLAGS[line]:
+            assert code == 0
+            assert (tmp_path / ("report." + flag[2:])).exists()
+        else:
+            assert code == 4
+            assert captured.out == ""
+            assert "unrecognized arguments" in captured.err
+
+
+def test_cell_budget_refuses_large_common_domain(tmp_path, capsys):
+    doc = {
+        "schema": "tessella-euclidean/1",
+        "lattice": {"dim": 2, "basis": [["1/1000", "0"], ["0", "1000"]]},
+        "lattice2": {"dim": 2, "basis": [["1", "0"], ["0", "1"]]},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.monotonic()
+    code = main(["common-fd", str(path)])
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "1000000 cells" in captured.err

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tessella.errors import (
     InvalidDomain,
     InvalidInput,
     NotSublattice,
+    TooLarge,
 )
 from tessella.lattices import (
     EucLattice,
@@ -565,3 +567,13 @@ def test_boundary_series_ratio_decreases():
         assert entry.inner_measure <= entry.measure <= entry.outer_measure
     ratios = [entry.ratio for entry in series]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_cell_budget_refuses_before_building_cells():
+    # diag(1/1000, 1000) against Z^2 has 10^6 cells, far above MAX_CELLS
+    tall = L(("1/1000", 0), (0, 1000))
+    t0 = time.monotonic()
+    for construct in (common_fd_commensurable, construct_k_epsilon_lattices):
+        with pytest.raises(TooLarge, match="1000000 cells"):
+            construct(tall, EucLattice.standard(2))
+    assert time.monotonic() - t0 < 1.0
