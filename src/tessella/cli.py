@@ -3,7 +3,8 @@
 Every subcommand is one row of COMMANDS: its words, the instance kinds it
 accepts with one handler each, and the plot flags it honours. `main`
 loads the JSON instance, checks its kind against the row, runs the
-handler and emits the JSON report (stdout, plus --out for a file copy).
+handler and emits the JSON report (stdout, plus --out for a file copy);
+the reports of exits 2 and 3 raised by the engines take the same path.
 Exit codes separate the four outcomes: 0 success, 2 a verification
 failed, 3 the mathematics rules the request out, 4 the input is
 malformed or the request too large. The engines re-verify every object
@@ -147,7 +148,14 @@ def _finite_xy(payload, command: str):
     return inst
 
 
+def _no_svg(args, kind: str) -> None:
+    # the --svg of common-fd draws euclidean pairs only
+    if args.svg:
+        raise InvalidInput(f"--svg draws euclidean pairs only, not {kind} instances")
+
+
 def _common_fd_finite(payload, args):
+    _no_svg(args, "finite")
     inst = _finite_xy(payload, "common-fd")
     domain = construct_common_fd(inst.pair, inst.x, inst.y)
     return {
@@ -171,6 +179,7 @@ def _common_fd_euclidean(payload, args):
 
 
 def _common_fd_translation(payload, args):
+    _no_svg(args, "translation-system")
     ts, _, _ = jsonio.parse_translation_system(payload)
     domains = translation_system_common_fd(ts)
     return {
@@ -514,15 +523,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _failure(verdict: str, exc: TessellaError, code: int, **extra) -> int:
-    sys.stdout.write(jsonio.dumps_report({
-        "schema": "tessella-report/1",
-        "verdict": verdict,
-        "reason": str(exc),
-        "timing_ms": None,
-        **extra,
-    }))
-    return code
+def _failure(verdict: str, exc: TessellaError) -> dict:
+    """The report of an engine error that ends the request with exit 2 or 3."""
+    report = {"verdict": verdict, "reason": str(exc)}
+    if isinstance(exc, ConstructionFailed):
+        report["witness"] = _witness_json(exc.witness)
+    return report
 
 
 def main(argv=None) -> int:
@@ -530,25 +536,23 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         row = args.row
-        report = {"command": row.command}
-        if None in row.handlers:
-            kind, payload = None, None
-        else:
-            kind, payload = jsonio.load_instance(args.instance)
-            if kind not in row.handlers:
-                raise InvalidInput(f"{' '.join(row.words)} expects a "
-                                   f"{' or '.join(row.handlers)} instance")
-            report["kind"] = kind
-        fields, code = row.handlers[kind](payload, args)
-        report.update(fields)
+        try:
+            report = {"command": row.command}
+            if None in row.handlers:
+                kind, payload = None, None
+            else:
+                kind, payload = jsonio.load_instance(args.instance)
+                if kind not in row.handlers:
+                    raise InvalidInput(f"{' '.join(row.words)} expects a "
+                                       f"{' or '.join(row.handlers)} instance")
+                report["kind"] = kind
+            fields, code = row.handlers[kind](payload, args)
+            report.update(fields)
+        except (ConditionFails, NotFree, CovolumeMismatch) as exc:
+            report, code = _failure("obstruction", exc), EXIT_OBSTRUCTION
+        except (InvalidDomain, ConstructionFailed) as exc:
+            report, code = _failure("verification-failed", exc), EXIT_VERIFY
         return _emit(report, args, code, started)
-    except (ConditionFails, NotFree, CovolumeMismatch) as exc:
-        return _failure("obstruction", exc, EXIT_OBSTRUCTION)
-    except InvalidDomain as exc:
-        return _failure("verification-failed", exc, EXIT_VERIFY)
-    except ConstructionFailed as exc:
-        return _failure("verification-failed", exc, EXIT_VERIFY,
-                        witness=_witness_json(exc.witness))
     except TessellaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -18,7 +18,6 @@ from .boxes import Box, FrameRegion
 from .errors import InvalidInput
 from .finite import (
     ActionPair,
-    Equidecomposition,
     FiniteAction,
     FiniteGroup,
     FiniteMeasureSpace,
@@ -61,10 +60,6 @@ def parse_vector(v) -> tuple[Fraction, ...]:
     if not isinstance(v, list):
         raise InvalidInput("vector must be a JSON array")
     return tuple(parse_frac(x) for x in v)
-
-
-def vector_json(v) -> list[str]:
-    return [fmt_frac(x) for x in v]
 
 
 def parse_matrix(m) -> tuple[tuple[Fraction, ...], ...]:
@@ -238,12 +233,6 @@ def heis_lattice_json(L: HeisLattice) -> dict:
 
 def parse_heis_aut(obj) -> HeisAut:
     return HeisAut(parse_matrix(_require(obj, "A", "automorphism")))
-
-
-def equidecomposition_json(plan: Equidecomposition) -> list[dict]:
-    return [
-        {"piece": sorted(piece), "element": g} for piece, g in plan.pieces
-    ]
 
 
 def load_instance(path: str):

@@ -28,12 +28,6 @@ def frac(x) -> Fraction:
     raise ValueError(f"not an exact rational: {x!r}")
 
 
-def fmt(q: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def vec(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
@@ -66,10 +60,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:

@@ -287,3 +287,53 @@ def test_cell_budget_refuses_large_common_domain(tmp_path, capsys):
     assert code == 4
     assert captured.out == ""
     assert "1000000 cells" in captured.err
+
+
+def test_failure_reports_reach_out(tmp_path, capsys):
+    # exit 3 (an obstruction) and exit 2 (X is not a fundamental domain)
+    with open(inst("z6_one_plus_half.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["x"] = [0, 1]
+    bad_x = tmp_path / "bad_x.json"
+    bad_x.write_text(json.dumps(doc), encoding="utf-8")
+    target = tmp_path / "report.json"
+    missing = tmp_path / "no-such-dir" / "report.json"
+    for argv, want, verdict in (
+            (["common-fd", inst("obstruction_two_components.json")], 3, "obstruction"),
+            (["common-fd", str(bad_x)], 2, "verification-failed")):
+        code, out = run(capsys, *argv, "--out", str(target))
+        assert code == want
+        assert json.loads(out)["verdict"] == verdict
+        assert target.read_bytes().decode() == out
+        code = main(argv + ["--out", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write")
+
+
+ONE_COMPONENT_SYSTEM = {
+    "schema": "tessella-translation-system/1",
+    "rank": 2,
+    "components": [{
+        "dim": 2,
+        "gamma": [["1", "0"], ["0", "1"]],
+        "lambda": [["1/2", "0"], ["0", "2"]],
+    }],
+}
+
+
+@pytest.mark.parametrize("kind", ["finite", "translation-system"])
+def test_common_fd_svg_only_for_euclidean_pairs(kind, tmp_path, capsys):
+    if kind == "finite":
+        path = inst("z6_one_plus_half.json")
+    else:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(ONE_COMPONENT_SYSTEM), encoding="utf-8")
+    out = tmp_path / "ts_out.json"
+    code = main(["common-fd", str(path), "--out", str(out), "--svg"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"not {kind} instances" in captured.err
+    assert not out.exists() and not (tmp_path / "ts_out.svg").exists()

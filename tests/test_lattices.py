@@ -15,6 +15,7 @@ from tessella.errors import (
     TooLarge,
 )
 from tessella.lattices import (
+    MAX_CELLS,
     EucLattice,
     StepFunction,
     TSComponent,
@@ -577,3 +578,13 @@ def test_cell_budget_refuses_before_building_cells():
         with pytest.raises(TooLarge, match="1000000 cells"):
             construct(tall, EucLattice.standard(2))
     assert time.monotonic() - t0 < 1.0
+
+
+def test_common_domain_at_the_cell_budget_edge():
+    # diag(1/87, 87) against Z^2 has 87^2 = 7569 cells, just under MAX_CELLS
+    tall = L(("1/87", 0), (0, 87))
+    assert 87 * 87 <= MAX_CELLS
+    D = common_fd_commensurable(tall, EucLattice.standard(2))
+    assert D.measure == 1 and len(D.boxes) == 87
+    assert verify_tiling_exact(D, tall).ok
+    assert verify_tiling_exact(D, EucLattice.standard(2)).ok
