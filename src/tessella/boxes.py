@@ -7,6 +7,13 @@ one operation everything else reduces to: cutting boxes along lattice
 hyperplanes and translating the pieces, which makes tiling and packing
 checks against any rational lattice exact. The half-open convention
 turns "up to measure zero" statements into literal partitions.
+
+The hot loops run on integer grids. Scaling one axis by a positive
+integer keeps the order of its coordinates, so a region's boxes are
+checked for overlap on the lcm of each axis's denominators, and
+`reduce_mod` cuts, translates and counts the cover in Python ints on a
+grid fine enough for the box corners and the lattice at once. Results
+go back to Fractions only at the end, so every value stays exact.
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import combinations
+from math import lcm, prod
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConstructionFailed, InvalidInput
 from .linalg import (
@@ -23,7 +31,6 @@ from .linalg import (
     Vec,
     denominator_lcm,
     det,
-    floor_frac,
     frac,
     hnf,
     mat,
@@ -77,10 +84,9 @@ class FrameRegion:
         )
         if any(len(b) != n for b in boxes):
             raise InvalidInput("box dimension does not match the frame")
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if boxes_overlap(boxes[i], boxes[j]):
-                    raise InvalidInput(f"boxes {i} and {j} overlap")
+        pair = _first_overlap(boxes, n)
+        if pair is not None:
+            raise InvalidInput(f"boxes {pair[0]} and {pair[1]} overlap")
         object.__setattr__(self, "boxes", boxes)
 
     @classmethod
@@ -106,14 +112,74 @@ class FrameRegion:
         )
 
 
+def _to_grid(boxes: Sequence[Box], factors: Sequence[int]) -> list[tuple]:
+    """The boxes with axis i multiplied by factors[i], as integer corners;
+    each factor must be a multiple of the denominators on its axis."""
+    return [
+        tuple((lo.numerator * (f // lo.denominator), hi.numerator * (f // hi.denominator))
+              for (lo, hi), f in zip(b, factors))
+        for b in boxes
+    ]
+
+
+def _axis_lcms(boxes: Sequence[Box], n: int) -> list[int]:
+    """Per axis, the lcm of the denominators of every box corner."""
+    return [lcm(*{x.denominator for b in boxes for x in b[i]}) for i in range(n)]
+
+
+def _first_overlap(boxes: Sequence[Box], n: int) -> Optional[tuple[int, int]]:
+    """The least pair (i, j), i < j, of overlapping boxes, or None.
+
+    On the integer grid of `_axis_lcms`, a group of boxes sorted by their
+    low end on one axis splits into runs whose intervals chain-overlap;
+    each run is split again on the next axis, cycling, until a run has
+    come through every axis in one piece. Only pairs inside such a run
+    are compared. Two overlapping boxes overlap on every axis, so they
+    share a run at every step and the check stays exact.
+    """
+    if len(boxes) < 2:
+        return None
+    grid = _to_grid(boxes, _axis_lcms(boxes, n))
+    best = None
+    groups = [(list(range(len(boxes))), 0, 0)]
+    while groups:
+        group, axis, whole = groups.pop()
+        if whole == n:
+            for i, j in combinations(sorted(group), 2):
+                if all(a < d and c < b for (a, b), (c, d) in zip(grid[i], grid[j])):
+                    if best is None or (i, j) < best:
+                        best = (i, j)
+                    break
+            continue
+        group.sort(key=lambda k: grid[k][axis][0])
+        runs = [[group[0]]]
+        reach = grid[group[0]][axis][1]
+        for k in group[1:]:
+            lo, hi = grid[k][axis]
+            if lo < reach:
+                runs[-1].append(k)
+                reach = max(reach, hi)
+            else:
+                runs.append([k])
+                reach = hi
+        nxt = (axis + 1) % n
+        if len(runs) == 1:
+            groups.append((group, nxt, whole + 1))
+        else:
+            groups.extend((run, nxt, 1) for run in runs if len(run) > 1)
+    return best
+
+
 def compressed_cover(pieces: Sequence[tuple[Box, object]], bounds: Box):
     """Coordinate-compressed arrangement of weighted boxes inside bounds.
 
     Yields (cell, total weight) pairs whose cells partition bounds; the
     weight of a cell is the sum of the weights of the pieces covering it
-    (0 where nothing does). Weights may be integers or Fractions. Cost is
-    O(cells) via an n-dimensional difference array, independent of how
-    many pieces overlap each cell.
+    (0 where nothing does). Weights may be integers or Fractions, and so
+    may the coordinates: `reduce_mod` passes integer grid corners, which
+    keeps every comparison and sum here in ints. Cost is O(cells) via an
+    n-dimensional difference array, independent of how many pieces
+    overlap each cell.
     """
     n = len(bounds)
     cuts = []
@@ -132,11 +198,13 @@ def compressed_cover(pieces: Sequence[tuple[Box, object]], bounds: Box):
     shape = [d + 1 for d in dims]
     diff: list = [0] * acc
     for bx, weight in pieces:
-        a = [bisect_left(cuts[j], bx[j][0]) for j in range(n)]
-        b = [bisect_left(cuts[j], bx[j][1]) for j in range(n)]
-        for corner in product(*[(0, 1)] * n):
-            idx = sum((b[j] if corner[j] else a[j]) * strides[j] for j in range(n))
-            diff[idx] = diff[idx] + (-weight if sum(corner) % 2 else weight)
+        corners = [(0, weight)]
+        for j in range(n):
+            a = bisect_left(cuts[j], bx[j][0]) * strides[j]
+            b = bisect_left(cuts[j], bx[j][1]) * strides[j]
+            corners = [(i + a, w) for i, w in corners] + [(i + b, -w) for i, w in corners]
+        for idx, w in corners:
+            diff[idx] = diff[idx] + w
     for j in range(n):
         step = strides[j]
         for o in range(acc // shape[j]):
@@ -145,11 +213,11 @@ def compressed_cover(pieces: Sequence[tuple[Box, object]], bounds: Box):
             for i in range(shape[j]):
                 run = run + diff[base + i * step]
                 diff[base + i * step] = run
-    for cell_idx in product(*[range(d) for d in dims]):
-        flat = sum(cell_idx[j] * strides[j] for j in range(n))
-        cell = tuple(
-            (cuts[j][cell_idx[j]], cuts[j][cell_idx[j] + 1]) for j in range(n)
-        )
+    cells = [((), 0)]
+    for j in range(n):
+        axis = [(k * strides[j], (cuts[j][k], cuts[j][k + 1])) for k in range(dims[j])]
+        cells = [(cell + (iv,), flat + o) for cell, flat in cells for o, iv in axis]
+    for cell, flat in cells:
         yield cell, diff[flat]
 
 
@@ -193,8 +261,15 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
     becomes an integer column lattice; its HNF H is lower triangular,
     and coordinates are reduced in ascending order by cutting each box
     at multiples of H[j][j] and translating pieces by -m * column_j
-    (which only moves coordinates >= j). Total measure is conserved
-    across multiplicity levels, checked on every call (ConstructionFailed).
+    (which only moves coordinates >= j).
+
+    The work runs on an integer grid: refined axis i is scaled by ds[i],
+    the lcm of the denominators of the refined box corners on that axis,
+    so the corners, the cuts at H[j][j] ds[j], the shifts m H[i][j] ds[i],
+    the floors and the cover count are all ints. Only the result goes
+    back to Fractions, with the same values in the same order. Total
+    measure is conserved across multiplicity levels, checked on every
+    call on the grid (ConstructionFailed).
     """
     B = region.frame
     n = region.dim
@@ -207,55 +282,63 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
     refined = tuple(
         tuple(B[i][j] / scales[j] for j in range(n)) for i in range(n)
     )
-    pieces: list[tuple[list[list[Fraction]], list[int]]] = []
-    for b in region.boxes:
-        scaled = [[lo * scales[i], hi * scales[i]] for i, (lo, hi) in enumerate(b)]
-        pieces.append((scaled, [0] * n))
+    factors = [lcm(s, d) for s, d in zip(scales, _axis_lcms(region.boxes, n))]
+    ds = [f // s for f, s in zip(factors, scales)]
+    grid = _to_grid(region.boxes, factors)
+    pieces = [(bx, (0,) * n) for bx in grid]
     for j in range(n):
-        hjj = Fraction(H[j][j])
+        step = H[j][j] * ds[j]
+        shifts = [(i, H[i][j] * ds[i]) for i in range(j + 1, n) if H[i][j]]
         nxt = []
         for bx, w in pieces:
             lo, hi = bx[j]
-            m = floor_frac(lo / hjj)
-            while Fraction(m) * hjj < hi:
-                seg_lo = max(lo, m * hjj)
-                seg_hi = min(hi, (m + 1) * hjj)
-                if seg_lo < seg_hi:
-                    nb = [list(iv) for iv in bx]
-                    nb[j] = [seg_lo - m * hjj, seg_hi - m * hjj]
-                    for i in range(j + 1, n):
-                        if H[i][j]:
-                            nb[i] = [nb[i][0] - m * H[i][j], nb[i][1] - m * H[i][j]]
-                    nw = list(w)
-                    nw[j] += m
-                    nxt.append((nb, nw))
+            m = lo // step
+            base = m * step
+            while base < hi:
+                nb = list(bx)
+                nb[j] = (max(lo, base) - base, min(hi, base + step) - base)
+                for i, h in shifts:
+                    nb[i] = (nb[i][0] - m * h, nb[i][1] - m * h)
+                nxt.append((tuple(nb), w[:j] + (w[j] + m,) + w[j + 1:]))
                 m += 1
+                base += step
         pieces = nxt
-    torus = tuple((Fraction(0), Fraction(H[j][j])) for j in range(n))
-    frozen_pieces = tuple(
-        (tuple((lo, hi) for lo, hi in bx), tuple(w)) for bx, w in pieces
-    )
-
-    levels: dict[int, list[Box]] = {}
-    uncovered: list[Box] = []
-    for cell, count in compressed_cover([(bx, 1) for bx, _ in frozen_pieces], torus):
+    levels: dict[int, list] = {}
+    uncovered: list = []
+    covered = 0
+    for cell, count in compressed_cover(
+            [(bx, 1) for bx, _ in pieces],
+            tuple((0, H[j][j] * ds[j]) for j in range(n))):
         if count == 0:
             uncovered.append(cell)
         else:
             levels.setdefault(count, []).append(cell)
+            covered += count * prod(hi - lo for lo, hi in cell)
+
+    back = [{} for _ in range(n)]
+
+    def to_frac(bx) -> Box:
+        out = []
+        for i, (lo, hi) in enumerate(bx):
+            memo = back[i]
+            for x in (lo, hi):
+                if x not in memo:
+                    memo[x] = Fraction(x, ds[i])
+            out.append((memo[lo], memo[hi]))
+        return tuple(out)
 
     reduced = ReducedRegion(
         frame=refined,
-        torus=torus,
-        levels={m: tuple(cells) for m, cells in sorted(levels.items())},
-        uncovered=tuple(uncovered),
-        pieces=frozen_pieces,
+        torus=tuple((Fraction(0), Fraction(H[j][j])) for j in range(n)),
+        levels={m: tuple(map(to_frac, cells)) for m, cells in sorted(levels.items())},
+        uncovered=tuple(map(to_frac, uncovered)),
+        pieces=tuple((to_frac(bx), w) for bx, w in pieces),
         cell_basis=mat_mul(refined, tuple(tuple(map(Fraction, row)) for row in H)),
     )
-    total = sum(
-        (Fraction(m) * reduced.level_measure(m) for m in reduced.levels), Fraction(0)
-    )
-    if total != region.measure:
+    if covered != sum(prod(hi - lo for lo, hi in bx) for bx in grid):
+        total = sum(
+            (Fraction(m) * reduced.level_measure(m) for m in reduced.levels), Fraction(0)
+        )
         raise ConstructionFailed("measure not conserved during reduction",
                                  {"measure": total, "expected": region.measure})
     return reduced

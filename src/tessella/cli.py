@@ -16,6 +16,7 @@ strings, sorted keys, and timing null unless --timing is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -494,7 +495,10 @@ _GROUPS = {"finite": "finite-action engine", "heis": "Heisenberg engine"}
 # ------------------------------------------------------------ entry point
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser for every command in COMMANDS, built on the first call
+    and shared after it: parsing keeps no state in the parser."""
     parser = _Parser(prog="tessella",
                      description="exact fundamental-domain toolkit")
     subs = parser.add_subparsers(dest="command", required=True)

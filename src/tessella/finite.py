@@ -62,7 +62,10 @@ class FiniteGroup:
 
     table[a][b] is the index of the product a*b. The table is checked to
     be a group law (closure, identity, inverses, associativity) at
-    construction time.
+    construction time. Associativity is Light's test over `generators`,
+    a greedy generating set: (a*s)*c = a*(s*c) for every s in it. The s
+    that pass contain the identity and are closed under products, and
+    every element is a product of generators, so the test is exact.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
@@ -89,11 +92,15 @@ class FiniteGroup:
             if len(invs) != 1:
                 raise InvalidInput(f"element {a} has no two-sided inverse")
             self._inv[a] = invs[0]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise InvalidInput("multiplication table is not associative")
+        self.generators = _greedy_generators(self.table, self.identity)
+        t = self.table
+        for s in self.generators:
+            ts = t[s]
+            for a in range(n):
+                row = t[t[a][s]]
+                ta = t[a]
+                if any(row[c] != ta[ts[c]] for c in range(n)):
+                    raise InvalidInput("multiplication table is not associative")
 
     def __len__(self) -> int:
         return len(self.table)
@@ -114,12 +121,33 @@ class FiniteGroup:
         return cls.cyclic(1)
 
 
+def _greedy_generators(table: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+    """Elements in index order that the earlier ones do not reach by right
+    multiplication from the identity; together they reach every element."""
+    gens: list[int] = []
+    reached = {identity}
+    for g in range(len(table)):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            row = table[frontier.pop()]
+            for s in gens:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    frontier.append(row[s])
+    return tuple(gens)
+
+
 class FiniteAction:
     """Group action by weight-preserving permutations of the atoms.
 
     side "left": perms is a homomorphism, perm(g*h) = perm(g) o perm(h).
     side "right": an anti-homomorphism, perm(g*h) = perm(h) o perm(g).
-    perm(g) is stored as a tuple p with p[a] = g.a.
+    perm(g) is stored as a tuple p with p[a] = g.a. The law is checked
+    for h in the group's generators only; every element is a product of
+    them, so it then holds for all h.
     """
 
     def __init__(self, group: FiniteGroup, space: FiniteMeasureSpace,
@@ -133,19 +161,23 @@ class FiniteAction:
         n = space.n
         if len(self.perms) != len(group):
             raise InvalidInput("one permutation per group element required")
+        atoms = list(range(n))
+        classes = {w: i for i, w in enumerate(space.weights)}
+        weight_class = [classes[w] for w in space.weights]
         for p in self.perms:
-            if sorted(p) != list(range(n)):
+            if sorted(p) != atoms:
                 raise InvalidInput("not a permutation of the atoms")
-            if any(space.weights[p[a]] != space.weights[a] for a in range(n)):
+            if [weight_class[x] for x in p] != weight_class:
                 raise InvalidInput("permutation does not preserve atom weights")
         for g in range(len(group)):
-            for h in range(len(group)):
-                gh = self.perms[group.mul(g, h)]
+            pg = self.perms[g]
+            for h in group.generators:
+                ph = self.perms[h]
                 if side == "left":
-                    comp = tuple(self.perms[g][self.perms[h][a]] for a in range(n))
+                    comp = tuple(pg[x] for x in ph)
                 else:
-                    comp = tuple(self.perms[h][self.perms[g][a]] for a in range(n))
-                if gh != comp:
+                    comp = tuple(ph[x] for x in pg)
+                if self.perms[group.mul(g, h)] != comp:
                     kind = "homomorphism" if side == "left" else "anti-homomorphism"
                     raise InvalidInput(f"perm map is not a {kind}")
         self._orbits: Optional[list[tuple[int, ...]]] = None
@@ -194,7 +226,9 @@ class ActionPair:
     """Two commuting actions on the same space.
 
     The first slot plays the Gamma role (its fundamental domain is X),
-    the second the Lambda role (fundamental domain Y).
+    the second the Lambda role (fundamental domain Y). They are checked
+    to commute on the permutations of generators only, since every other
+    permutation is a composition of those.
     """
 
     def __init__(self, left: FiniteAction, right: FiniteAction):
@@ -204,8 +238,10 @@ class ActionPair:
         self.right = right
         self.space = left.space
         n = self.space.n
-        for pg in left.perms:
-            for ph in right.perms:
+        for g in left.group.generators:
+            pg = left.perms[g]
+            for h in right.group.generators:
+                ph = right.perms[h]
                 if any(pg[ph[a]] != ph[pg[a]] for a in range(n)):
                     raise InvalidInput("the two actions do not commute")
         self._blocks: Optional[list[tuple[int, ...]]] = None

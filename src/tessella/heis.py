@@ -10,7 +10,7 @@ tiling verification, and word-metric ball growth of the integer points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
 from typing import Callable, Optional
@@ -198,10 +198,13 @@ class HeisLattice:
     which is closed under the product exactly when 2 det A is an integer
     (the product picks up a 2 n2 m1 det A central correction); det A = 0
     would collapse the planar rank. Hence det A must be a nonzero
-    half-integer.
+    half-integer. det A and A^-1 are computed once, here, for the
+    per-point reductions and membership tests.
     """
 
     A: Mat
+    planar_det: Fraction = field(init=False, repr=False, compare=False)
+    A_inv: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = mat(self.A)
@@ -212,15 +215,13 @@ class HeisLattice:
             raise InvalidInput(
                 f"determinant {d} is not a nonzero half-integer")
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "planar_det", d)
+        object.__setattr__(self, "A_inv", mat_inv(A))
 
     @classmethod
     def standard(cls) -> "HeisLattice":
         """The integer points."""
         return cls(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-
-    @property
-    def planar_det(self) -> Fraction:
-        return det(self.A)
 
     def element(self, n1: int, n2: int, n3: int) -> HeisPoint:
         """Y1^n1 Y2^n2 X3^n3 where Y_i are the planar generators."""
@@ -229,7 +230,7 @@ class HeisLattice:
 
     def exponents(self, g: HeisPoint) -> Optional[tuple[int, int, int]]:
         """Inverse of element(), or None when g is not in the lattice."""
-        t = mat_vec(mat_inv(self.A), (g.x1, g.x2))
+        t = mat_vec(self.A_inv, (g.x1, g.x2))
         if any(x.denominator != 1 for x in t):
             return None
         n1, n2 = int(t[0]), int(t[1])
@@ -273,7 +274,7 @@ def lattice_covolume(L: HeisLattice) -> Fraction:
     """Measure of the reduction cell: |det A| (the cell is the affine
     image of the unit cube under a map of planar block A and unit central
     scale, and Haar measure is Lebesgue measure)."""
-    return abs(det(L.A))
+    return abs(L.planar_det)
 
 
 def aut_image_lattice(alpha: HeisAut, L: HeisLattice) -> HeisLattice:
@@ -295,7 +296,7 @@ class Reduction:
 
 def cell_contains(L: HeisLattice, g: HeisPoint) -> bool:
     """The reduction cell { (A t', t3) : t in [0,1)^3 }, half-open."""
-    t = mat_vec(mat_inv(L.A), (g.x1, g.x2))
+    t = mat_vec(L.A_inv, (g.x1, g.x2))
     return all(0 <= x < 1 for x in t) and 0 <= g.c < 1
 
 
@@ -310,7 +311,7 @@ def cell_bbox(L: HeisLattice) -> Box:
 
 
 def _cell_boundary(L: HeisLattice, g: HeisPoint) -> bool:
-    t = mat_vec(mat_inv(L.A), (g.x1, g.x2))
+    t = mat_vec(L.A_inv, (g.x1, g.x2))
     coords = (t[0], t[1], g.c)
     return any(x == 0 or x == 1 for x in coords)
 
@@ -318,7 +319,7 @@ def _cell_boundary(L: HeisLattice, g: HeisPoint) -> bool:
 def _planar_split(L: HeisLattice, g: HeisPoint):
     """n = floor of the planar frame coordinates, plus the split x = p + q
     with p = A n the generator part and q the in-cell part."""
-    t = mat_vec(mat_inv(L.A), (g.x1, g.x2))
+    t = mat_vec(L.A_inv, (g.x1, g.x2))
     n1, n2 = floor_frac(t[0]), floor_frac(t[1])
     p = mat_vec(L.A, (Fraction(n1), Fraction(n2)))
     q = (g.x1 - p[0], g.x2 - p[1])
@@ -441,7 +442,7 @@ def _count_translates(
     """
     L = action.lattice
     d = L.planar_det
-    Ainv = mat_inv(L.A)
+    Ainv = L.A_inv
     (blo1, bhi1), (blo2, bhi2), (blo3, bhi3) = candidate.bbox
     zx = (z.x1, z.x2)
     p_lo = (zx[0] - bhi1, zx[1] - bhi2)

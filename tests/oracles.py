@@ -8,6 +8,7 @@ the library is exact. Oracles are slow and small-scale by design.
 """
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -63,6 +64,49 @@ def _tiles(perms, cand, n):
 
 def measure_of(weights, atoms):
     return sum((weights[a] for a in atoms), Fraction(0))
+
+
+def brute_group_error(table):
+    """The message FiniteGroup raises for a square table with entries in
+    range, from the checks in the same order, with associativity tested
+    on all n^3 triples; None for a group law."""
+    n = len(table)
+    ident = [e for e in range(n)
+             if all(table[e][x] == x and table[x][e] == x for x in range(n))]
+    if len(ident) != 1:
+        return "table has no identity element"
+    e = ident[0]
+    for a in range(n):
+        invs = [b for b in range(n) if table[a][b] == e and table[b][a] == e]
+        if len(invs) != 1:
+            return f"element {a} has no two-sided inverse"
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return "multiplication table is not associative"
+    return None
+
+
+def brute_action_error(table, perms, side):
+    """The message FiniteAction raises for permutations of the atoms that
+    keep the weights, checking the (anti-)homomorphism law on every pair
+    of group elements; None when it holds."""
+    n = len(perms[0])
+    for g, h in product(range(len(table)), repeat=2):
+        if side == "left":
+            comp = tuple(perms[g][perms[h][a]] for a in range(n))
+        else:
+            comp = tuple(perms[h][perms[g][a]] for a in range(n))
+        if tuple(perms[table[g][h]]) != comp:
+            kind = "homomorphism" if side == "left" else "anti-homomorphism"
+            return f"perm map is not a {kind}"
+    return None
+
+
+def brute_commute(left_perms, right_perms):
+    """Whether every permutation of one family commutes with every
+    permutation of the other."""
+    return all(pg[ph[a]] == ph[pg[a]]
+               for pg in left_perms for ph in right_perms for a in range(len(pg)))
 
 
 # ---------------------------------------------------------------- lattices
@@ -234,3 +278,122 @@ def ball_sizes_via_matrices(n_max):
         sizes.append(len(seen))
         frontier = nxt
     return sizes
+
+
+# ------------------------------------------------------------ box regions
+# The all-pairs overlap scan and the Fraction cut-and-translate that
+# `tessella.boxes` replaced with integer grids; kept as references.
+
+
+def all_pairs_overlap_message(boxes):
+    """The message FrameRegion raises for the first overlapping pair, by
+    comparing every pair of boxes in index order; None when disjoint."""
+    from tessella.boxes import boxes_overlap
+
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            if boxes_overlap(boxes[i], boxes[j]):
+                return f"boxes {i} and {j} overlap"
+    return None
+
+
+def corner_sum_cover(pieces, bounds):
+    """`compressed_cover` by inclusion-exclusion over each piece's 2^n
+    corners, every cell index a sum over the axes."""
+    n = len(bounds)
+    cuts = []
+    for j in range(n):
+        vals = {bounds[j][0], bounds[j][1]}
+        for bx, _ in pieces:
+            vals.add(bx[j][0])
+            vals.add(bx[j][1])
+        cuts.append(sorted(vals))
+    dims = [len(c) - 1 for c in cuts]
+    strides = [0] * n
+    acc = 1
+    for j in reversed(range(n)):
+        strides[j] = acc
+        acc *= dims[j] + 1
+    shape = [d + 1 for d in dims]
+    diff = [0] * acc
+    for bx, weight in pieces:
+        a = [bisect_left(cuts[j], bx[j][0]) for j in range(n)]
+        b = [bisect_left(cuts[j], bx[j][1]) for j in range(n)]
+        for corner in product(*[(0, 1)] * n):
+            idx = sum((b[j] if corner[j] else a[j]) * strides[j] for j in range(n))
+            diff[idx] = diff[idx] + (-weight if sum(corner) % 2 else weight)
+    for j in range(n):
+        step = strides[j]
+        for o in range(acc // shape[j]):
+            base = (o // step) * (shape[j] * step) + (o % step)
+            run = 0
+            for i in range(shape[j]):
+                run = run + diff[base + i * step]
+                diff[base + i * step] = run
+    for cell_idx in product(*[range(d) for d in dims]):
+        flat = sum(cell_idx[j] * strides[j] for j in range(n))
+        cell = tuple(
+            (cuts[j][cell_idx[j]], cuts[j][cell_idx[j] + 1]) for j in range(n)
+        )
+        yield cell, diff[flat]
+
+
+def fraction_reduce_mod(region, basis):
+    """`reduce_mod` with every coordinate a Fraction: cut each box at the
+    multiples of H[j][j], translate the pieces, and count the cover with
+    `corner_sum_cover`."""
+    from tessella.boxes import ReducedRegion
+    from tessella.linalg import denominator_lcm, floor_frac, hnf, mat, mat_inv, mat_mul
+
+    B = region.frame
+    n = region.dim
+    M = mat_mul(mat_inv(B), mat(basis))
+    scales = [denominator_lcm(row) for row in M]
+    K = [[int(M[i][j] * scales[i]) for j in range(n)] for i in range(n)]
+    H = hnf(K)
+    refined = tuple(
+        tuple(B[i][j] / scales[j] for j in range(n)) for i in range(n)
+    )
+    pieces = []
+    for b in region.boxes:
+        scaled = [[lo * scales[i], hi * scales[i]] for i, (lo, hi) in enumerate(b)]
+        pieces.append((scaled, [0] * n))
+    for j in range(n):
+        hjj = Fraction(H[j][j])
+        nxt = []
+        for bx, w in pieces:
+            lo, hi = bx[j]
+            m = floor_frac(lo / hjj)
+            while Fraction(m) * hjj < hi:
+                seg_lo = max(lo, m * hjj)
+                seg_hi = min(hi, (m + 1) * hjj)
+                if seg_lo < seg_hi:
+                    nb = [list(iv) for iv in bx]
+                    nb[j] = [seg_lo - m * hjj, seg_hi - m * hjj]
+                    for i in range(j + 1, n):
+                        if H[i][j]:
+                            nb[i] = [nb[i][0] - m * H[i][j], nb[i][1] - m * H[i][j]]
+                    nw = list(w)
+                    nw[j] += m
+                    nxt.append((nb, nw))
+                m += 1
+        pieces = nxt
+    torus = tuple((Fraction(0), Fraction(H[j][j])) for j in range(n))
+    frozen_pieces = tuple(
+        (tuple((lo, hi) for lo, hi in bx), tuple(w)) for bx, w in pieces
+    )
+    levels = {}
+    uncovered = []
+    for cell, count in corner_sum_cover([(bx, 1) for bx, _ in frozen_pieces], torus):
+        if count == 0:
+            uncovered.append(cell)
+        else:
+            levels.setdefault(count, []).append(cell)
+    return ReducedRegion(
+        frame=refined,
+        torus=torus,
+        levels={m: tuple(cells) for m, cells in sorted(levels.items())},
+        uncovered=tuple(uncovered),
+        pieces=frozen_pieces,
+        cell_basis=mat_mul(refined, tuple(tuple(map(Fraction, row)) for row in H)),
+    )

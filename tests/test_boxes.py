@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tessella.boxes import (
     FrameRegion,
@@ -15,6 +15,8 @@ from tessella.boxes import (
 )
 from tessella.errors import InvalidInput
 from tessella.linalg import identity, mat, mat_vec
+
+import oracles
 
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -168,3 +170,118 @@ def test_reduce_conserves_measure(p, q, shear):
     levels_total = sum(red.level_measure(m) for m in red.levels)
     uncovered = sum((box_volume(b) for b in red.uncovered), Fraction(0))
     assert levels_total + uncovered * abs_det(red.frame) == red.cell_measure
+
+
+# ------------------------------------------- integer grids against Fractions
+
+small = st.fractions(min_value=-1, max_value=1, max_denominator=3)
+corner = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+width = st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3)
+
+
+@st.composite
+def region_boxes(draw, n, extra=2):
+    """Boxes of one of three shapes: cells of a grid (a repeated cell is
+    a duplicate), free boxes with a neighbour touching the first one, or
+    a box with one nested inside it; then up to `extra` random boxes."""
+    kind = draw(st.sampled_from(["grid", "free", "nested"]))
+    if kind == "grid":
+        h = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+        cells = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n),
+                              min_size=1, max_size=5))
+        return [make_box([h * k for k in cell], [h * (k + 1) for k in cell])
+                for cell in cells]
+    lo = [draw(corner) for _ in range(n)]
+    hi = [a + draw(width) for a in lo]
+    boxes = [make_box(lo, hi)]
+    if kind == "nested":
+        inner_lo = [a + (b - a) * draw(st.sampled_from([0, Fraction(1, 3)]))
+                    for a, b in zip(lo, hi)]
+        boxes.append(make_box(inner_lo, [b - (b - a) / 3 for a, b in zip(lo, hi)]))
+    else:
+        axis = draw(st.integers(0, n - 1))
+        touching_lo = list(lo)
+        touching_lo[axis] = hi[axis]
+        boxes.append(make_box(touching_lo, [a + draw(width) for a in touching_lo]))
+    for _ in range(draw(st.integers(0, extra))):
+        a = [draw(corner) for _ in range(n)]
+        boxes.append(make_box(a, [x + draw(width) for x in a]))
+    return draw(st.permutations(boxes))
+
+
+@st.composite
+def sheared_regions(draw):
+    """A frame diag(d) + strictly upper shear, its boxes and a lattice
+    basis of the same shape (lower shear), in 1 to 3 dimensions."""
+    n = draw(st.integers(1, 3))
+    scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                              Fraction(3, 2), Fraction(2)])
+
+    def sheared(upper):
+        d = [draw(scales) for _ in range(n)]
+        return tuple(
+            tuple(d[i] if i == j else (draw(small) if (j > i) == upper else Fraction(0))
+                  for j in range(n))
+            for i in range(n))
+
+    return sheared(True), tuple(draw(region_boxes(n, extra=1))), sheared(False)
+
+
+def test_overlap_names_the_least_pair():
+    a = make_box([0, 0], [1, 1])
+    b = make_box([5, 5], [7, 7])
+    c = make_box([6, 6], [8, 8])
+    d = make_box(["1/2", "1/2"], [6, 6])
+    for boxes, msg in [((a, b, c, d), "boxes 0 and 3 overlap"),
+                       ((b, a, c), "boxes 0 and 2 overlap"),
+                       ((a, b, a), "boxes 0 and 2 overlap"),
+                       ((a, make_box([1, 0], [2, 1]), make_box([0, 1], [1, 2])), None)]:
+        assert oracles.all_pairs_overlap_message(boxes) == msg
+        if msg is None:
+            FrameRegion(identity(2), boxes)
+        else:
+            with pytest.raises(InvalidInput, match=f"^{msg}$"):
+                FrameRegion(identity(2), boxes)
+
+
+@given(st.integers(1, 3).flatmap(region_boxes))
+def test_overlap_check_matches_all_pairs(boxes):
+    n = len(boxes[0])
+    expected = oracles.all_pairs_overlap_message(boxes)
+    try:
+        FrameRegion(identity(n), tuple(boxes))
+    except InvalidInput as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+@given(st.integers(1, 3).flatmap(region_boxes),
+       st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                min_size=6, max_size=6))
+def test_cover_matches_corner_sums(boxes, weights):
+    bounds = tuple((Fraction(-3), Fraction(7)) for _ in boxes[0])
+    pieces = list(zip(boxes, weights))
+    assert list(compressed_cover(pieces, bounds)) == \
+        list(oracles.corner_sum_cover(pieces, bounds))
+
+
+@settings(max_examples=150)
+@given(sheared_regions())
+def test_reduce_mod_matches_fraction_reference(case):
+    frame, boxes, basis = case
+    expected = oracles.all_pairs_overlap_message(boxes)
+    try:
+        R = FrameRegion(frame, boxes)
+    except InvalidInput as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    got = reduce_mod(R, basis)
+    want = oracles.fraction_reduce_mod(R, basis)
+    for name in ("frame", "torus", "levels", "uncovered", "pieces", "cell_basis"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(got.levels) == list(want.levels)
+    assert all(isinstance(x, Fraction)
+               for cells in (got.uncovered, *got.levels.values())
+               for cell in cells for iv in cell for x in iv)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tessella.errors import (
     ConditionFails,
@@ -276,6 +278,167 @@ def test_transport_plan_validation_catches_tampering():
     bad = Equidecomposition(plan.pieces, frozenset({0, 1}), plan.target)
     with pytest.raises(InvalidInput):
         bad.validate(pair.left)
+
+
+# -------------------------------------------------------- group validation
+
+# An order-5 loop: identity 0, every element its own inverse, and
+# (1*2)*2 = 3*2 = 4 while 1*(2*2) = 1*0 = 1.
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+S3 = list(permutations(range(3)))
+BASE_TABLES = [FiniteGroup.cyclic(n).table for n in range(1, 7)] + [
+    [[a ^ b for b in range(4)] for a in range(4)],
+    [[S3.index(tuple(p[q[i]] for i in range(3))) for q in S3] for p in S3],
+]
+
+
+def relabel(table, sigma):
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[sigma[a]][sigma[b]] = sigma[table[a][b]]
+    return out
+
+
+@st.composite
+def near_group_tables(draw):
+    """A relabelled group table with up to two pairs of entries swapped in
+    a row. A swap away from the identity's row, column and entries keeps
+    identity and inverses, so then only associativity can fail."""
+    base = draw(st.sampled_from(BASE_TABLES))
+    n = len(base)
+    sigma = draw(st.permutations(range(n)))
+    table = relabel(base, sigma)
+    others = [x for x in range(n) if x != sigma[0]]
+    for _ in range(draw(st.integers(0, 2))):
+        if others and draw(st.booleans()):
+            r = draw(st.sampled_from(others))
+            cols = [c for c in others if table[r][c] != sigma[0]]
+            if len(cols) < 2:
+                continue
+            c1, c2 = draw(st.permutations(cols))[:2]
+        else:
+            r, c1, c2 = (draw(st.integers(0, n - 1)) for _ in range(3))
+        table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
+    return table
+
+
+def test_non_associative_loop_is_rejected():
+    assert oracles.brute_group_error(NON_ASSOCIATIVE_LOOP) == \
+        "multiplication table is not associative"
+    with pytest.raises(InvalidInput, match="^multiplication table is not associative$"):
+        FiniteGroup(NON_ASSOCIATIVE_LOOP)
+
+
+def test_associativity_is_tested_on_every_generator():
+    # greedy generators (1, 2); (a*1)*c = a*(1*c) holds for all a, c, and
+    # the generator 2 exposes (1*2)*4 = 4*4 = 2 against 1*(2*4) = 1*5 = 3.
+    table = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+             [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 2, 3], [5, 4, 2, 3, 1, 0]]
+    assert all(table[table[a][1]][c] == table[a][table[1][c]]
+               for a in range(6) for c in range(6))
+    assert oracles.brute_group_error(table) == "multiplication table is not associative"
+    with pytest.raises(InvalidInput, match="^multiplication table is not associative$"):
+        FiniteGroup(table)
+
+
+def test_action_law_is_checked_on_every_generator():
+    # Klein four-group, generators (1, 2): perm(1) = P and perm(2) = Q are
+    # involutions and perm(3) = Q o P, so the law holds for s = 1; it fails
+    # for s = 2 because P and Q do not commute.
+    klein = [[a ^ b for b in range(4)] for a in range(4)]
+    assert FiniteGroup(klein).generators == (1, 2)
+    P, Q = (1, 0, 2), (0, 2, 1)
+    perms = [(0, 1, 2), P, Q, tuple(Q[P[a]] for a in range(3))]
+    assert oracles.brute_action_error(klein, perms, "left") == \
+        "perm map is not a homomorphism"
+    with pytest.raises(InvalidInput, match="^perm map is not a homomorphism$"):
+        FiniteAction(FiniteGroup(klein), FiniteMeasureSpace([1] * 3), perms)
+
+
+def test_generators_reach_every_element():
+    for table in BASE_TABLES:
+        g = FiniteGroup(table)
+        reached = {g.identity}
+        frontier = [g.identity]
+        while frontier:
+            a = frontier.pop()
+            for s in g.generators:
+                if g.mul(a, s) not in reached:
+                    reached.add(g.mul(a, s))
+                    frontier.append(g.mul(a, s))
+        assert reached == set(range(len(g)))
+    assert FiniteGroup.cyclic(6).generators == (1,)
+    assert FiniteGroup.trivial().generators == ()
+
+
+@given(near_group_tables())
+def test_group_validation_matches_brute_force(table):
+    expected = oracles.brute_group_error(table)
+    try:
+        FiniteGroup(table)
+    except InvalidInput as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+@st.composite
+def regular_actions(draw):
+    """The left or right regular action of a small group, relabelled by a
+    random atom permutation, with perhaps one permutation replaced."""
+    table = draw(st.sampled_from(BASE_TABLES))
+    n = len(table)
+    side = draw(st.sampled_from(["left", "right"]))
+    tau = draw(st.permutations(range(n)))
+    if side == "left":
+        perms = [[table[g][a] for a in range(n)] for g in range(n)]
+    else:
+        perms = [[table[a][g] for a in range(n)] for g in range(n)]
+    perms = [tuple(tau[p[a]] for a in tau_inverse(tau)) for p in perms]
+    if draw(st.booleans()):
+        perms[draw(st.integers(0, n - 1))] = tuple(draw(st.permutations(range(n))))
+    return table, perms, side
+
+
+def tau_inverse(tau):
+    inv = [0] * len(tau)
+    for a, b in enumerate(tau):
+        inv[b] = a
+    return inv
+
+
+@given(regular_actions())
+def test_action_validation_matches_brute_force(case):
+    table, perms, side = case
+    expected = oracles.brute_action_error(table, perms, side)
+    space = FiniteMeasureSpace([1] * len(table))
+    try:
+        FiniteAction(FiniteGroup(table), space, perms, side=side)
+    except InvalidInput as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+@given(st.sampled_from(BASE_TABLES), st.data())
+def test_commutation_check_matches_brute_force(table, data):
+    n = len(table)
+    group = FiniteGroup(table)
+    space = FiniteMeasureSpace([1] * n)
+    left = FiniteAction(group, space, [[table[g][a] for a in range(n)]
+                                       for g in range(n)])
+    tau = data.draw(st.permutations(range(n)))
+    right_perms = [tuple(tau[table[a][g]] for a in tau_inverse(tau)) for g in range(n)]
+    right = FiniteAction(group, space, right_perms, side="right")
+    if oracles.brute_commute(left.perms, right.perms):
+        ActionPair(left, right)
+    else:
+        with pytest.raises(InvalidInput, match="^the two actions do not commute$"):
+            ActionPair(left, right)
 
 
 # ---------------------------------------------------------------- semidirect
