@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -198,13 +198,11 @@ def compressed_cover(pieces: Sequence[tuple[Box, object]], bounds: Box):
     shape = [d + 1 for d in dims]
     diff: list = [0] * acc
     for bx, weight in pieces:
-        corners = [(0, weight)]
-        for j in range(n):
-            a = bisect_left(cuts[j], bx[j][0]) * strides[j]
-            b = bisect_left(cuts[j], bx[j][1]) * strides[j]
-            corners = [(i + a, w) for i, w in corners] + [(i + b, -w) for i, w in corners]
-        for idx, w in corners:
-            diff[idx] = diff[idx] + w
+        a = [bisect_left(cuts[j], bx[j][0]) for j in range(n)]
+        b = [bisect_left(cuts[j], bx[j][1]) for j in range(n)]
+        for corner in product(*[(0, 1)] * n):
+            idx = sum((b[j] if corner[j] else a[j]) * strides[j] for j in range(n))
+            diff[idx] = diff[idx] + (-weight if sum(corner) % 2 else weight)
     for j in range(n):
         step = strides[j]
         for o in range(acc // shape[j]):
@@ -213,11 +211,11 @@ def compressed_cover(pieces: Sequence[tuple[Box, object]], bounds: Box):
             for i in range(shape[j]):
                 run = run + diff[base + i * step]
                 diff[base + i * step] = run
-    cells = [((), 0)]
-    for j in range(n):
-        axis = [(k * strides[j], (cuts[j][k], cuts[j][k + 1])) for k in range(dims[j])]
-        cells = [(cell + (iv,), flat + o) for cell, flat in cells for o, iv in axis]
-    for cell, flat in cells:
+    for cell_idx in product(*[range(d) for d in dims]):
+        flat = sum(cell_idx[j] * strides[j] for j in range(n))
+        cell = tuple(
+            (cuts[j][cell_idx[j]], cuts[j][cell_idx[j] + 1]) for j in range(n)
+        )
         yield cell, diff[flat]
 
 
@@ -269,7 +267,10 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
     the floors and the cover count are all ints. Only the result goes
     back to Fractions, with the same values in the same order. Total
     measure is conserved across multiplicity levels, checked on every
-    call on the grid (ConstructionFailed).
+    call on the grid (ConstructionFailed). The check covers the grid
+    computation, not the conversion back: every returned coordinate is
+    the exact quotient Fraction(x, ds[i]) of its grid value, which the
+    tests compare field by field with the all-Fraction reference.
     """
     B = region.frame
     n = region.dim
@@ -315,17 +316,9 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
             levels.setdefault(count, []).append(cell)
             covered += count * prod(hi - lo for lo, hi in cell)
 
-    back = [{} for _ in range(n)]
-
     def to_frac(bx) -> Box:
-        out = []
-        for i, (lo, hi) in enumerate(bx):
-            memo = back[i]
-            for x in (lo, hi):
-                if x not in memo:
-                    memo[x] = Fraction(x, ds[i])
-            out.append((memo[lo], memo[hi]))
-        return tuple(out)
+        return tuple((Fraction(lo, ds[i]), Fraction(hi, ds[i]))
+                     for i, (lo, hi) in enumerate(bx))
 
     reduced = ReducedRegion(
         frame=refined,

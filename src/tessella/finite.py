@@ -146,8 +146,10 @@ class FiniteAction:
     side "left": perms is a homomorphism, perm(g*h) = perm(g) o perm(h).
     side "right": an anti-homomorphism, perm(g*h) = perm(h) o perm(g).
     perm(g) is stored as a tuple p with p[a] = g.a. The law is checked
-    for h in the group's generators only; every element is a product of
-    them, so it then holds for all h.
+    for h the identity and the group's generators; every element is a
+    product of generators, so it then holds for all h. The identity case
+    forces perm(identity) to be the identity permutation, which the
+    generators alone do not when the group is trivial.
     """
 
     def __init__(self, group: FiniteGroup, space: FiniteMeasureSpace,
@@ -171,7 +173,7 @@ class FiniteAction:
                 raise InvalidInput("permutation does not preserve atom weights")
         for g in range(len(group)):
             pg = self.perms[g]
-            for h in group.generators:
+            for h in (group.identity, *group.generators):
                 ph = self.perms[h]
                 if side == "left":
                     comp = tuple(pg[x] for x in ph)

@@ -8,7 +8,6 @@ the library is exact. Oracles are slow and small-scale by design.
 """
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -297,52 +296,11 @@ def all_pairs_overlap_message(boxes):
     return None
 
 
-def corner_sum_cover(pieces, bounds):
-    """`compressed_cover` by inclusion-exclusion over each piece's 2^n
-    corners, every cell index a sum over the axes."""
-    n = len(bounds)
-    cuts = []
-    for j in range(n):
-        vals = {bounds[j][0], bounds[j][1]}
-        for bx, _ in pieces:
-            vals.add(bx[j][0])
-            vals.add(bx[j][1])
-        cuts.append(sorted(vals))
-    dims = [len(c) - 1 for c in cuts]
-    strides = [0] * n
-    acc = 1
-    for j in reversed(range(n)):
-        strides[j] = acc
-        acc *= dims[j] + 1
-    shape = [d + 1 for d in dims]
-    diff = [0] * acc
-    for bx, weight in pieces:
-        a = [bisect_left(cuts[j], bx[j][0]) for j in range(n)]
-        b = [bisect_left(cuts[j], bx[j][1]) for j in range(n)]
-        for corner in product(*[(0, 1)] * n):
-            idx = sum((b[j] if corner[j] else a[j]) * strides[j] for j in range(n))
-            diff[idx] = diff[idx] + (-weight if sum(corner) % 2 else weight)
-    for j in range(n):
-        step = strides[j]
-        for o in range(acc // shape[j]):
-            base = (o // step) * (shape[j] * step) + (o % step)
-            run = 0
-            for i in range(shape[j]):
-                run = run + diff[base + i * step]
-                diff[base + i * step] = run
-    for cell_idx in product(*[range(d) for d in dims]):
-        flat = sum(cell_idx[j] * strides[j] for j in range(n))
-        cell = tuple(
-            (cuts[j][cell_idx[j]], cuts[j][cell_idx[j] + 1]) for j in range(n)
-        )
-        yield cell, diff[flat]
-
-
 def fraction_reduce_mod(region, basis):
     """`reduce_mod` with every coordinate a Fraction: cut each box at the
     multiples of H[j][j], translate the pieces, and count the cover with
-    `corner_sum_cover`."""
-    from tessella.boxes import ReducedRegion
+    `compressed_cover` on Fraction corners."""
+    from tessella.boxes import ReducedRegion, compressed_cover
     from tessella.linalg import denominator_lcm, floor_frac, hnf, mat, mat_inv, mat_mul
 
     B = region.frame
@@ -384,7 +342,7 @@ def fraction_reduce_mod(region, basis):
     )
     levels = {}
     uncovered = []
-    for cell, count in corner_sum_cover([(bx, 1) for bx, _ in frozen_pieces], torus):
+    for cell, count in compressed_cover([(bx, 1) for bx, _ in frozen_pieces], torus):
         if count == 0:
             uncovered.append(cell)
         else:

@@ -256,16 +256,6 @@ def test_overlap_check_matches_all_pairs(boxes):
         assert expected is None
 
 
-@given(st.integers(1, 3).flatmap(region_boxes),
-       st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
-                min_size=6, max_size=6))
-def test_cover_matches_corner_sums(boxes, weights):
-    bounds = tuple((Fraction(-3), Fraction(7)) for _ in boxes[0])
-    pieces = list(zip(boxes, weights))
-    assert list(compressed_cover(pieces, bounds)) == \
-        list(oracles.corner_sum_cover(pieces, bounds))
-
-
 @settings(max_examples=150)
 @given(sheared_regions())
 def test_reduce_mod_matches_fraction_reference(case):

@@ -359,6 +359,16 @@ def test_action_law_is_checked_on_every_generator():
         FiniteAction(FiniteGroup(klein), FiniteMeasureSpace([1] * 3), perms)
 
 
+def test_trivial_group_needs_the_identity_permutation():
+    perms = [(1, 0)]
+    for side, kind in (("left", "homomorphism"), ("right", "anti-homomorphism")):
+        assert oracles.brute_action_error([[0]], perms, side) == \
+            f"perm map is not a {kind}"
+        with pytest.raises(InvalidInput, match=f"^perm map is not a {kind}$"):
+            FiniteAction(FiniteGroup.trivial(), FiniteMeasureSpace([1, 1]), perms,
+                         side=side)
+
+
 def test_generators_reach_every_element():
     for table in BASE_TABLES:
         g = FiniteGroup(table)
@@ -389,7 +399,8 @@ def test_group_validation_matches_brute_force(table):
 @st.composite
 def regular_actions(draw):
     """The left or right regular action of a small group, relabelled by a
-    random atom permutation, with perhaps one permutation replaced."""
+    random atom permutation, with up to two extra fixed atoms and perhaps
+    one permutation replaced by any permutation of all the atoms."""
     table = draw(st.sampled_from(BASE_TABLES))
     n = len(table)
     side = draw(st.sampled_from(["left", "right"]))
@@ -398,9 +409,11 @@ def regular_actions(draw):
         perms = [[table[g][a] for a in range(n)] for g in range(n)]
     else:
         perms = [[table[a][g] for a in range(n)] for g in range(n)]
-    perms = [tuple(tau[p[a]] for a in tau_inverse(tau)) for p in perms]
+    fixed = tuple(range(n, n + draw(st.integers(0, 2))))
+    perms = [tuple(tau[p[a]] for a in tau_inverse(tau)) + fixed for p in perms]
     if draw(st.booleans()):
-        perms[draw(st.integers(0, n - 1))] = tuple(draw(st.permutations(range(n))))
+        perms[draw(st.integers(0, n - 1))] = tuple(
+            draw(st.permutations(range(n + len(fixed)))))
     return table, perms, side
 
 
@@ -415,7 +428,7 @@ def tau_inverse(tau):
 def test_action_validation_matches_brute_force(case):
     table, perms, side = case
     expected = oracles.brute_action_error(table, perms, side)
-    space = FiniteMeasureSpace([1] * len(table))
+    space = FiniteMeasureSpace([1] * len(perms[0]))
     try:
         FiniteAction(FiniteGroup(table), space, perms, side=side)
     except InvalidInput as exc:

@@ -151,6 +151,17 @@ def test_finite_rejects_wrong_side_and_bad_atoms():
         parse_finite(payload)
 
 
+def test_finite_rejects_trivial_group_moving_atoms():
+    payload = finite_payload()
+    payload["weights"] = ["1/2", "1/2"]
+    payload["left_action"] = {"side": "left", "elements": ["e"], "table": [[0]],
+                              "perms": [[1, 0]]}
+    payload["right_action"] = {"side": "right", "elements": ["e"], "table": [[0]],
+                               "perms": [[0, 1]]}
+    with pytest.raises(InvalidInput, match="^perm map is not a homomorphism$"):
+        parse_finite(payload)
+
+
 def ts_payload():
     return {
         "schema": schema_tag("translation-system"),
