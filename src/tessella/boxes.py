@@ -76,9 +76,11 @@ class FrameRegion:
 
     def __post_init__(self):
         object.__setattr__(self, "frame", mat(self.frame))
+        n = len(self.frame)
+        if any(len(row) != n for row in self.frame):
+            raise InvalidInput("frame matrix must be square")
         if det(self.frame) == 0:
             raise InvalidInput("frame matrix must be invertible")
-        n = len(self.frame)
         boxes = tuple(
             make_box([x[0] for x in b], [x[1] for x in b]) for b in self.boxes
         )
@@ -238,9 +240,6 @@ class ReducedRegion:
     uncovered: tuple[Box, ...]
     pieces: tuple[tuple[Box, tuple[int, ...]], ...]
     cell_basis: Mat
-
-    def level_region(self, m: int) -> FrameRegion:
-        return FrameRegion(self.frame, self.levels.get(m, ()))
 
     def level_measure(self, m: int) -> Fraction:
         scale = abs(det(self.frame))

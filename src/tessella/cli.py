@@ -299,7 +299,8 @@ def _cube_series(dim: int, count: int) -> list[FrameRegion]:
 def _boundary(payload, args):
     L = jsonio.parse_lattice(jsonio._require(payload, "lattice", "euclidean"))
     if "regions" in payload:
-        regions = [jsonio.parse_region(r) for r in payload["regions"]]
+        regions = [jsonio.parse_region(r) for r in
+                   jsonio.parse_array(payload["regions"], "regions", "regions")]
     elif "cube_series" in payload:
         count = payload["cube_series"]
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:

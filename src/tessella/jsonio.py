@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .boxes import Box, FrameRegion
+from .boxes import Box, FrameRegion, make_box
 from .errors import InvalidInput
 from .finite import (
     ActionPair,
@@ -56,6 +56,21 @@ def _require(obj, key, kind=""):
     return obj[key]
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # a JSON integer; true and false are bools
+
+
+def _is_int_array(v) -> bool:
+    return isinstance(v, list) and all(type(x) is int for x in v)
+
+
+def parse_array(v, name: str, what: str, entry=None) -> list:
+    """v itself, once it is a JSON array whose every entry passes `entry`."""
+    if not isinstance(v, list) or (entry is not None and not all(map(entry, v))):
+        raise InvalidInput(f"{name} must be an array of {what}")
+    return v
+
+
 def parse_vector(v) -> tuple[Fraction, ...]:
     if not isinstance(v, list):
         raise InvalidInput("vector must be a JSON array")
@@ -78,7 +93,7 @@ def matrix_json(m) -> list[list[str]]:
 def parse_lattice(obj) -> EucLattice:
     basis = parse_matrix(_require(obj, "basis", "lattice"))
     dim = _require(obj, "dim", "lattice")
-    if dim != len(basis) or any(len(r) != dim for r in basis):
+    if not _is_int(dim) or dim != len(basis) or any(len(r) != dim for r in basis):
         raise InvalidInput("lattice dim does not match the basis shape")
     return EucLattice(basis)
 
@@ -88,13 +103,8 @@ def lattice_json(L: EucLattice) -> dict:
 
 
 def parse_box(obj) -> Box:
-    lo = parse_vector(_require(obj, "lo", "box"))
-    hi = parse_vector(_require(obj, "hi", "box"))
-    if len(lo) != len(hi):
-        raise InvalidInput("box corner dimensions differ")
-    if any(a >= b for a, b in zip(lo, hi)):
-        raise InvalidInput("box needs lo < hi on every axis")
-    return tuple(zip(lo, hi))
+    return make_box(parse_vector(_require(obj, "lo", "box")),
+                    parse_vector(_require(obj, "hi", "box")))
 
 
 def box_json(b: Box) -> dict:
@@ -126,10 +136,7 @@ class FiniteInstance:
 
 
 def _parse_atoms(v, n: int, name: str) -> list[int]:
-    if not isinstance(v, list) or not all(
-            isinstance(a, int) and not isinstance(a, bool) for a in v):
-        raise InvalidInput(f"{name} must be an array of atom indices")
-    atoms = sorted(set(v))
+    atoms = sorted(set(parse_array(v, name, "atom indices", _is_int)))
     if len(atoms) != len(v):
         raise InvalidInput(f"{name} repeats an atom")
     if atoms and (atoms[0] < 0 or atoms[-1] >= n):
@@ -141,16 +148,18 @@ def _parse_action(obj, space: FiniteMeasureSpace, role: str) -> FiniteAction:
     side = _require(obj, "side", role)
     if side != role:
         raise InvalidInput(f"{role} action declares side {side!r}")
-    elements = _require(obj, "elements", role)
-    table = _require(obj, "table", role)
-    perms = _require(obj, "perms", role)
+    elements = parse_array(_require(obj, "elements", role), f"{role} elements", "names")
+    table = parse_array(_require(obj, "table", role), f"{role} table",
+                        "integer arrays", _is_int_array)
+    perms = parse_array(_require(obj, "perms", role), f"{role} perms",
+                        "integer arrays", _is_int_array)
     group = FiniteGroup(table, names=[str(e) for e in elements])
     return FiniteAction(group, space, perms, side=side)
 
 
 def parse_finite(payload) -> FiniteInstance:
-    space = FiniteMeasureSpace(
-        [parse_frac(w) for w in _require(payload, "weights", "finite")])
+    weights = parse_array(_require(payload, "weights", "finite"), "weights", "rationals")
+    space = FiniteMeasureSpace([parse_frac(w) for w in weights])
     left = _parse_action(_require(payload, "left_action", "finite"), space, "left")
     right = _parse_action(_require(payload, "right_action", "finite"), space, "right")
     pair = ActionPair(left, right)
@@ -160,7 +169,7 @@ def parse_finite(payload) -> FiniteInstance:
     if mode not in ("eq", "geq"):
         raise InvalidInput("mode must be 'eq' or 'geq'")
     k = payload.get("k", 1)
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not _is_int(k):
         raise InvalidInput("k must be an integer")
     return FiniteInstance(
         pair=pair,
@@ -183,12 +192,14 @@ def parse_translation_system(payload):
     xs, ys = [], []
     for comp in comps:
         dim = _require(comp, "dim", "component")
+        if not _is_int(dim):
+            raise InvalidInput("component dim must be an integer")
         gamma = parse_matrix(_require(comp, "gamma", "component"))
         lam = parse_matrix(_require(comp, "lambda", "component"))
         parsed.append(TSComponent(dim, gamma, lam))
         xs.append(comp.get("x"))
         ys.append(comp.get("y"))
-    if not isinstance(rank, int) or isinstance(rank, bool):
+    if not _is_int(rank):
         raise InvalidInput("rank must be an integer")
     ts = TranslationSystem(rank, parsed)
 

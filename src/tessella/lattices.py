@@ -173,7 +173,7 @@ def verify_packing_exact(R: FrameRegion, L: EucLattice) -> VerifyResult:
     return _multiplicity_check(R, L, exact=False)
 
 
-def _reduce_vec(v: list[int], H: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _reduce_vec(v: Sequence[int], H: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Canonical representative of v modulo the column lattice of the
     lower-triangular H: coordinates brought into [0, H[j][j]) in order."""
     v = list(v)
@@ -186,26 +186,12 @@ def _reduce_vec(v: list[int], H: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _integer_image(Lsmall: EucLattice, Lbig: EucLattice) -> list[list[int]]:
-    """Columns of Lbig^-1 * Lsmall, which are integral when Lsmall <= Lbig."""
-    C = mat_mul(mat_inv(Lbig.basis), Lsmall.basis)
+def _integer_image(Sinv: Mat, L: EucLattice) -> list[list[int]]:
+    """The integer matrix S^-1 * L: the basis of L <= S in S-coordinates."""
+    C = mat_mul(Sinv, L.basis)
     if any(x.denominator != 1 for row in C for x in row):
-        raise NotSublattice("expected a sublattice")
-    return [[int(C[i][j]) for i in range(len(C))] for j in range(len(C))]
-
-
-def _subgroup_closure(gens: Sequence[Sequence[int]], H) -> set[tuple[int, ...]]:
-    zero = tuple(0 for _ in range(len(H)))
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            w = _reduce_vec([a + b for a, b in zip(v, g)], H)
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+        raise NotSublattice("lattice not contained in the sum lattice")
+    return [[int(x) for x in row] for row in C]
 
 
 # Most cells a lattice construction enumerates: five times the largest
@@ -215,13 +201,19 @@ MAX_CELLS = 7700
 
 
 class _CellSystem:
-    """Cells of the sum lattice S modulo Delta = L1 ^ L2.
+    """Cells of the sum lattice S modulo Delta = L1 ^ L2, with their labels.
 
-    Cells are the unit boxes of the S frame at the integer offsets of the
-    HNF transversal of Delta in S; the quotients L1/Delta and L2/Delta
-    act on the offsets by addition. This is the exact combinatorial
-    skeleton on which the matching constructions run. The cell count
-    [S : Delta] is checked against MAX_CELLS before any cell is built.
+    In S-coordinates every lattice between Delta and S is an integer
+    lattice. The cells are the unit boxes of the S frame at the offsets r
+    of the HNF transversal of Delta (`reps`, in increasing order), and
+    L1/Delta and L2/Delta act on them by adding offsets. Two cells lie in
+    one L1-coset exactly when r - r' lies in the image of L1, which
+    contains that of Delta. So the label of a cell is r reduced modulo
+    H1, the HNF of that image: `_reduce_vec` returns the one canonical
+    representative of r + H1 Z^n, and two cells get equal labels exactly
+    when they share an L1-coset. `left` and `right` hold the L1 and L2
+    labels, aligned with `reps`. The cell count [S : Delta] is checked
+    against MAX_CELLS before any cell is built.
     """
 
     def __init__(self, L1: EucLattice, L2: EucLattice, first_axis_split: int = 1):
@@ -234,33 +226,17 @@ class _CellSystem:
                 for i in range(S.dim)
             )
             S = EucLattice(scaled)
-        delta = lattice_intersection(L1, L2)
         self.S = S
-        self.delta = delta
-        C = mat_mul(mat_inv(S.basis), delta.basis)
-        if any(x.denominator != 1 for row in C for x in row):
-            raise NotSublattice("intersection not contained in the sum lattice")
-        self.H = hnf([[int(x) for x in row] for row in C])
-        n = S.dim
-        cells = prod(self.H[j][j] for j in range(n))
+        Sinv = mat_inv(S.basis)
+        H = hnf(_integer_image(Sinv, lattice_intersection(L1, L2)))
+        cells = prod(H[j][j] for j in range(S.dim))
         if cells > MAX_CELLS:
             raise TooLarge(f"{cells} cells exceed the budget of {MAX_CELLS}")
-        self.reps = sorted(product(*[range(self.H[j][j]) for j in range(n)]))
-        self.v1 = _subgroup_closure(_integer_image(L1, S), self.H)
-        self.v2 = _subgroup_closure(_integer_image(L2, S), self.H)
-
-    def coset_labels(self, subgroup: set[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
-        labels = {}
-        for r in self.reps:
-            if r in labels:
-                continue
-            coset = sorted(
-                _reduce_vec([a + b for a, b in zip(r, v)], self.H) for v in subgroup
-            )
-            lead = coset[0]
-            for member in coset:
-                labels[member] = lead
-        return labels
+        self.reps = list(product(*[range(H[j][j]) for j in range(S.dim)]))
+        H1 = hnf(_integer_image(Sinv, L1))
+        H2 = hnf(_integer_image(Sinv, L2))
+        self.left = [_reduce_vec(r, H1) for r in self.reps]
+        self.right = [_reduce_vec(r, H2) for r in self.reps]
 
     def cell_region(self, reps: Iterable[tuple[int, ...]]) -> FrameRegion:
         boxes = tuple(
@@ -268,16 +244,6 @@ class _CellSystem:
             for r in sorted(reps)
         )
         return FrameRegion(self.S.basis, boxes)
-
-
-def _select_and_deal(cs: _CellSystem, k: int, eps) -> tuple[list[list], list]:
-    """`select_and_deal` over the cells, each labelled by its L1-coset and
-    its L2-coset; returns the cell offsets of F_1..F_k and of F_eps."""
-    lab1 = cs.coset_labels(cs.v1)
-    lab2 = cs.coset_labels(cs.v2)
-    fs, feps = select_and_deal([lab1[r] for r in cs.reps], [lab2[r] for r in cs.reps],
-                               k, eps, exact_left=True)
-    return [[cs.reps[e] for e in f] for f in fs], [cs.reps[e] for e in feps]
 
 
 def common_fd_commensurable(L1: EucLattice, L2: EucLattice) -> FrameRegion:
@@ -325,7 +291,9 @@ def construct_k_epsilon_lattices(
     k = floor_frac(ratio)
     eps = ratio - k
     cs = _CellSystem(L1, L2, first_axis_split=eps.denominator)
-    fs_cells, feps_cells = _select_and_deal(cs, k, eps)
+    picked, rest = select_and_deal(cs.left, cs.right, k, eps, exact_left=True)
+    fs_cells = [[cs.reps[e] for e in f] for f in picked]
+    feps_cells = [cs.reps[e] for e in rest]
     fs = [cs.cell_region(cells) for cells in fs_cells]
     feps = cs.cell_region(feps_cells)
     for i, f in enumerate(fs, 1):
@@ -573,12 +541,15 @@ class BoundaryEntry:
 def boundary_series(L: EucLattice, regions: Sequence[FrameRegion]) -> list[BoundaryEntry]:
     """Boundary diagnostic along a sequence of regions: counts, the ratio
     N_b / m(A), and the sandwich m(inner) <= m(A) <= m(outer) given by the
-    interior translates alone and by interior plus straddling ones."""
+    interior translates alone and by interior plus straddling ones.
+    Every region needs positive measure (InvalidInput otherwise)."""
     out = []
     cv = covolume(L)
     for A in regions:
-        bc = boundary_count(L, A)
         m = A.measure
+        if m == 0:
+            raise InvalidInput("boundary regions must have positive measure")
+        bc = boundary_count(L, A)
         out.append(BoundaryEntry(
             interior=bc.interior,
             boundary=bc.boundary,

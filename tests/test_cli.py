@@ -237,6 +237,61 @@ def test_unwritable_out_exits_4_with_empty_stdout(tmp_path, capsys):
         assert captured.err.startswith("error: cannot write")
 
 
+# case -> (command, instance, path of the replaced field, malformed value,
+# message)
+MALFORMED = {
+    "table-int": ("finite check", "z6_one_plus_half.json", ("left_action", "table"), 5,
+                  "left table must be an array of integer arrays"),
+    "table-str": ("finite check", "z6_one_plus_half.json",
+                  ("left_action", "table", 0, 1), "x",
+                  "left table must be an array of integer arrays"),
+    "table-float": ("finite check", "z6_one_plus_half.json",
+                    ("left_action", "table", 1, 1), 0.0,
+                    "left table must be an array of integer arrays"),
+    "perms-bool": ("finite construct", "z6_one_plus_half.json",
+                   ("right_action", "perms", 0, 0), True,
+                   "right perms must be an array of integer arrays"),
+    "elements-int": ("finite check", "z6_one_plus_half.json",
+                     ("left_action", "elements"), 3,
+                     "left elements must be an array of names"),
+    "weights-int": ("finite oracle", "z6_one_plus_half.json", ("weights",), 5,
+                    "weights must be an array of rationals"),
+    "regions-int": ("boundary", "boundary_cubes.json", ("regions",), 5,
+                    "regions must be an array of regions"),
+    "frame-not-square": ("boundary", "boundary_cubes.json", ("regions",),
+                         [{"frame": [["1", "0"]],
+                           "boxes": [{"lo": ["0", "0"], "hi": ["1", "1"]}]}],
+                         "frame matrix must be square"),
+    "lattice-dim-float": ("common-fd", "pair_square_rectangle.json",
+                          ("lattice", "dim"), 2.0,
+                          "lattice dim does not match the basis shape"),
+    "component-dim-bool": ("check", "obstruction_two_components.json",
+                           ("components", 0, "dim"), True,
+                           "component dim must be an integer"),
+    "region-empty": ("boundary", "boundary_cubes.json", ("regions",),
+                     [{"frame": [["1", "0"], ["0", "1"]], "boxes": []}],
+                     "boundary regions must have positive measure"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_instance_exits_4(case, tmp_path, capsys):
+    command, name, field, value, message = MALFORMED[case]
+    with open(inst(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(command.split() + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # command line -> the plot flags the command honours
 PLOT_FLAGS = {
     "covol heis_integer.json": (),

@@ -243,5 +243,4 @@ def test_lattice_cell_blocks_are_complete():
         l2 = EucLattice([[x * scale for x in row] for row in base.basis])
         eps = covolume(l1) / covolume(l2) % 1
         cs = _CellSystem(l1, l2, first_axis_split=eps.denominator)
-        lab1, lab2 = cs.coset_labels(cs.v1), cs.coset_labels(cs.v2)
-        assert_complete_uniform([lab1[r] for r in cs.reps], [lab2[r] for r in cs.reps])
+        assert_complete_uniform(cs.left, cs.right)

@@ -17,6 +17,7 @@ from tessella.errors import (
 from tessella.lattices import (
     MAX_CELLS,
     EucLattice,
+    _CellSystem,
     StepFunction,
     TSComponent,
     TranslationSystem,
@@ -36,7 +37,7 @@ from tessella.lattices import (
     verify_packing_exact,
     verify_tiling_exact,
 )
-from tessella.linalg import identity, mat, mat_vec
+from tessella.linalg import det, identity, mat, mat_mul, mat_vec
 from tessella.sampling import DyadicSampler
 
 import oracles
@@ -256,8 +257,6 @@ def random_equal_covolume_pair(rng):
             continue
         if abs(covolume(first)) > 6:
             continue
-        from tessella.linalg import mat_mul
-
         second = EucLattice(mat_mul(unimodular(rng), first.basis))
         return first, second
 
@@ -588,3 +587,38 @@ def test_common_domain_at_the_cell_budget_edge():
     assert D.measure == 1 and len(D.boxes) == 87
     assert verify_tiling_exact(D, tall).ok
     assert verify_tiling_exact(D, EucLattice.standard(2)).ok
+
+
+def random_basis(rng, n, top, den):
+    while True:
+        m = mat([[Fraction(rng.randint(-top, top), rng.randint(1, den))
+                  for _ in range(n)] for _ in range(n)])
+        if det(m) != 0:
+            return m
+
+
+def test_cell_labels_name_the_cosets():
+    # Oracle: cells r, r' share an L-label exactly when S.basis (r - r')
+    # lies in L, tested by L.contains on every pair of cells.
+    rng = random.Random(59)
+    seen = set()
+    cases = 0
+    while cases < 60:
+        n = rng.randint(1, 3)
+        l1 = EucLattice(random_basis(rng, n, 3, 3))
+        l2 = EucLattice(mat_mul(l1.basis, random_basis(rng, n, 2, 2)))
+        split = (covolume(l1) / covolume(l2) % 1).denominator
+        try:
+            cs = _CellSystem(l1, l2, first_axis_split=split)
+        except TooLarge:
+            continue
+        if len(cs.reps) > 32:
+            continue
+        cases += 1
+        seen.add((n, split > 1))
+        for i, r in enumerate(cs.reps):
+            for j in range(i + 1, len(cs.reps)):
+                diff = mat_vec(cs.S.basis, tuple(Fraction(a - b) for a, b in zip(r, cs.reps[j])))
+                assert (cs.left[i] == cs.left[j]) == l1.contains(diff)
+                assert (cs.right[i] == cs.right[j]) == l2.contains(diff)
+    assert {(n, split) for n in (1, 2, 3) for split in (False, True)} <= seen
