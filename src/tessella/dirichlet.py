@@ -3,8 +3,37 @@
 The cell of a base point x0 is the set of points at least as close to x0
 as to every other point of the orbit x0 + L. Both representations are
 produced exactly: the facet half-spaces and the vertex list, plus the
-exact volume (a cone decomposition from x0, so every summand is a
-rational determinant). No floating point anywhere.
+exact volume (a cone decomposition from x0).
+
+Integer scaling. With D the lcm of the basis denominators, D·L is an
+integer lattice; work in the coordinates y = D·x and write the base
+point as D·x0 = Y/E with Y integral. The bisector of a lattice vector
+v = w/D, v·x <= v·x0 + |v|^2/2, is then w·y <= c/(2E) with the integer
+c = 2 w·Y + E|w|^2. Vertices are solved by Cramer's rule from integer
+determinants and adjugates, tested with `w·P <= c·det`, and brought to
+one common denominator, so incidences, orderings and cone determinants
+are integer arithmetic too. Fractions are built only for the returned
+`ConvexCell`.
+
+Basis reduction. The integer basis of D·L is LLL-reduced (exact,
+delta = 3/4) before the short vectors are enumerated, so the
+enumeration box, and with it the cost, is set by the lattice and not by
+how skewed the given generators are.
+
+Independence of the basis. The facet candidates are exactly the weakly
+Voronoi-relevant vectors: the nonzero v in L with v·u <= |u|^2 for every
+u in L, that is, v/2 in the closed cell of the origin. That set is a
+property of the lattice alone, and the enumeration bound only has to
+exceed it (see `_relevant_vectors`). Everything after it is determined
+by the set and x0, so equal lattices give equal cells, value for value
+and in the same order.
+
+Self-check. Before it is returned, the cell is re-verified with explicit
+checks that also run under `python -O`: its volume must equal the
+covolume |det B| (computed by `lattices.covolume`, a separate route) and
+its vertex set must be symmetric about x0. A failure raises
+`ConstructionFailed` with the volume, the covolume and the symmetry
+verdict as its witness.
 """
 
 from __future__ import annotations
@@ -13,21 +42,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, product
+from math import factorial, gcd, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .errors import DimensionTooLarge
-from .lattices import EucLattice
-from .linalg import (
-    Vec,
-    det,
-    dot,
-    frac,
-    gram_schmidt_sq,
-    isqrt_floor,
-    mat_inv,
-    mat_vec,
-    vec_sub,
-)
+from .errors import ConstructionFailed, DimensionTooLarge
+from .lattices import EucLattice, covolume
+from .linalg import Vec, denominator_lcm, dot, frac, gram_schmidt
+
+IVec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -48,157 +71,172 @@ class ConvexCell:
         return all(dot(nrm, p) <= off for nrm, off in self.halfspaces)
 
 
-def _floor_sqrt(q: Fraction) -> int:
-    # floor(sqrt(p/q)) = floor(sqrt(p q) / q), exact in integers
-    return isqrt_floor(q.numerator * q.denominator) // q.denominator
+def _dot(a, b):
+    """`linalg.dot` for the integer hot loops; map avoids a generator."""
+    return sum(map(mul, a, b))
 
 
-def _short_vectors(L: EucLattice, bound_sq: Fraction) -> list[Vec]:
-    """All nonzero v in L with |v|^2 <= bound_sq, lexicographically sorted."""
-    n = L.dim
-    Binv = mat_inv(L.basis)
-    ranges = []
-    for i in range(n):
-        row_sq = sum((x * x for x in Binv[i]), Fraction(0))
-        m = _floor_sqrt(bound_sq * row_sq)
-        ranges.append(range(-m, m + 1))
-    out = []
-    for z in product(*ranges):
-        if all(zi == 0 for zi in z):
-            continue
-        v = mat_vec(L.basis, tuple(Fraction(zi) for zi in z))
-        if dot(v, v) <= bound_sq:
-            out.append(v)
-    return sorted(out)
+def _cross(a: IVec, b: IVec) -> IVec:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
-def _relevant_vectors(L: EucLattice) -> list[Vec]:
-    """Lattice vectors whose bisector can touch the cell of the origin.
+def _solve(rows: Sequence[IVec], rhs: Sequence[int]) -> tuple[IVec, int]:
+    """Cramer's rule for an integer n x n system, n <= 3: returns
+    (adj(rows)·rhs, det(rows)), so the solution is the first over the
+    second; det 0 means singular."""
+    if len(rows) == 1:
+        return (rhs[0],), rows[0][0]
+    if len(rows) == 2:
+        (a0, a1), (b0, b1) = rows
+        return (b1 * rhs[0] - a1 * rhs[1], a0 * rhs[1] - b0 * rhs[0]), a0 * b1 - a1 * b0
+    a, b, c = rows
+    bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
+    return tuple(rhs[0] * x + rhs[1] * y + rhs[2] * z
+                 for x, y, z in zip(bc, ca, ab)), _dot(a, bc)
+
+
+def _lll(basis: Sequence[IVec]) -> list[IVec]:
+    """Exact LLL reduction (delta = 3/4) of integer basis vectors."""
+    b = [tuple(v) for v in basis]
+    norms, mu = gram_schmidt(b)
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = tuple(x - q * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            norms, mu = gram_schmidt(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def _relevant_vectors(basis: Sequence[IVec]) -> list[IVec]:
+    """Lattice vectors whose bisector can touch the cell of the origin,
+    lexicographically sorted; `basis` is an integer basis.
 
     Every point of the cell lies within the covering radius mu of the
     lattice, and mu^2 <= (1/4) sum of squared Gram-Schmidt norms (round
     one basis direction at a time), so facet vectors satisfy
     |v| <= 2 mu. A vector v survives iff v/2 is weakly closer to 0 than
     to every other enumerated point; vectors beyond the bound can never
-    decide this, because rejecting v/2 would force |u| < |v|.
+    decide this, because rejecting v/2 would force |u| < |v|. The kept
+    set is symmetric, so v is tested against one of each pair +-u, as
+    |v·u| <= |u|^2, and only one of each pair +-v is tested.
     """
-    bound_sq = sum(gram_schmidt_sq(L.columns), Fraction(0))
-    candidates = _short_vectors(L, bound_sq)
+    bound = sum(gram_schmidt(basis)[0], Fraction(0))
+    rows, d = _inverse_rows(basis)
+    # |z_i| <= sqrt(bound) * |row i of B^-1|, with B^-1 = adj / d
+    ranges = [range(-m, m + 1) for m in (
+        isqrt(bound.numerator * bound.denominator * _dot(r, r)) // (bound.denominator * abs(d))
+        for r in rows)]
+    limit = bound.numerator // bound.denominator  # |w|^2 is an integer
+    zero = (0,) * len(basis)
+    half = []
+    for z in product(*ranges):
+        w = tuple(sum(zi * col[i] for zi, col in zip(z, basis)) for i in range(len(basis)))
+        ww = _dot(w, w)
+        if w > zero and ww <= limit:
+            half.append((ww, w))
+    half.sort()
     kept = []
-    for v in candidates:
-        ok = True
-        for u in candidates:
-            if dot(v, u) > dot(u, u):
-                ok = False
-                break
-        if ok:
+    for _, v in half:
+        if all(abs(_dot(v, u)) <= uu for uu, u in half):
             kept.append(v)
-    return kept
+            kept.append(tuple(-x for x in v))
+    return sorted(kept)
 
 
-def _vertex_candidates(halfspaces, n: int) -> list[Vec]:
-    seen = set()
+def _inverse_rows(basis: Sequence[IVec]) -> tuple[list[IVec], int]:
+    """Rows of adj(B) and det(B) for the matrix B whose columns are the
+    basis vectors, so that B^-1 = adj(B) / det(B)."""
+    # solving B^T p = e_j gives column j of adj(B^T), which is row j of adj(B)
+    n = len(basis)
+    sols = [_solve(basis, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    return [p for p, _ in sols], sols[0][1]
+
+
+def _vertices(ws: Sequence[IVec], cs: Sequence[int], n: int) -> tuple[list[IVec], int]:
+    """Vertices of the polytope {y : w·y <= c/h for each (w, c)} as
+    lexicographically sorted integer numerators V, y = V / (q·h), and
+    their common q.
+
+    Each nonsingular n-fold intersection y = P / (det·h) is kept when
+    it satisfies every inequality, w·P <= c·det after making det
+    positive; a point on more than n bisectors is found once per
+    n-subset and kept once, by its reduced (P, det) key.
+    """
+    found = set()
+    for combo in combinations(range(len(ws)), n):
+        p, d = _solve([ws[i] for i in combo], [cs[i] for i in combo])
+        if d == 0:
+            continue
+        if d < 0:
+            p, d = tuple(-x for x in p), -d
+        if all(_dot(w, p) <= c * d for w, c in zip(ws, cs)):
+            g = gcd(d, *p)
+            found.add((tuple(x // g for x in p), d // g))
+    q = 1
+    for _, d in found:
+        q = lcm(q, d)
+    return sorted(tuple(x * (q // d) for x in p) for p, d in found), q
+
+
+def _facets(ws, cs, verts, q: int, n: int) -> list[tuple[int, list[IVec]]]:
+    """Indices of the bisectors that carry a facet, each with its
+    incident vertices: at least n of them spanning an (n-1)-flat."""
     out = []
-    for combo in combinations(range(len(halfspaces)), n):
-        rows = tuple(halfspaces[i][0] for i in combo)
-        rhs = tuple(halfspaces[i][1] for i in combo)
-        if det(rows) == 0:
+    for j, (w, c) in enumerate(zip(ws, cs)):
+        inc = [v for v in verts if _dot(w, v) == c * q]
+        if len(inc) < n:
             continue
-        p = mat_vec(mat_inv(rows), rhs)
-        if p in seen:
-            continue
-        if all(dot(nrm, p) <= off for nrm, off in halfspaces):
-            seen.add(p)
-            out.append(p)
-    return sorted(out)
+        if n == 3:
+            base = inc[0]
+            dirs = [tuple(x - y for x, y in zip(p, base)) for p in inc[1:]]
+            if not any(any(_cross(d1, d2)) for d1, d2 in combinations(dirs, 2)):
+                continue  # a line, not a plane
+        out.append((j, inc))
+    return out
 
 
-def _ccw_order(points: Sequence[Vec], center: Vec) -> list[Vec]:
-    """Exact counterclockwise order around an interior center (2-D)."""
-
-    def half(d):
-        return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
-
-    def cmp(a, b):
-        da, db = vec_sub(a, center), vec_sub(b, center)
-        ha, hb = half(da), half(db)
-        if ha != hb:
-            return ha - hb
-        cr = da[0] * db[1] - da[1] * db[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(points, key=cmp_to_key(cmp))
-
-
-def _facet_vertices(halfspace, vertices) -> list[Vec]:
-    nrm, off = halfspace
-    return [p for p in vertices if dot(nrm, p) == off]
-
-
-def _prune_to_facets(halfspaces, vertices, n: int):
-    kept = []
-    for hs in halfspaces:
-        inc = _facet_vertices(hs, vertices)
-        if n == 1:
-            if len(inc) >= 1:
-                kept.append(hs)
-        elif n == 2:
-            if len(set(inc)) >= 2:
-                kept.append(hs)
-        else:
-            pts = sorted(set(inc))
-            if len(pts) < 3:
-                continue
-            # affine span must be a plane, not a line
-            base = pts[0]
-            dirs = [vec_sub(p, base) for p in pts[1:]]
-            planar = False
-            for d1, d2 in combinations(dirs, 2):
-                cx = (
-                    d1[1] * d2[2] - d1[2] * d2[1],
-                    d1[2] * d2[0] - d1[0] * d2[2],
-                    d1[0] * d2[1] - d1[1] * d2[0],
-                )
-                if any(c != 0 for c in cx):
-                    planar = True
-                    break
-            if planar:
-                kept.append(hs)
-    return kept
-
-
-def _volume(vertices, halfspaces, x0: Vec, n: int) -> Fraction:
+def _volume(facets, verts, center: IVec, n: int) -> int:
+    """n! times the volume of the cell in numerator units: the cone from
+    the interior center over each facet, as integer determinants."""
     if n == 1:
-        xs = sorted(p[0] for p in vertices)
-        return xs[-1] - xs[0]
+        return verts[-1][0] - verts[0][0]
+    rel = {v: tuple(x - y for x, y in zip(v, center)) for v in verts}
     if n == 2:
-        ring = _ccw_order(vertices, x0)
-        area = Fraction(0)
-        for i in range(len(ring)):
-            a = vec_sub(ring[i], x0)
-            b = vec_sub(ring[(i + 1) % len(ring)], x0)
-            area += a[0] * b[1] - a[1] * b[0]
-        return abs(area) / 2
-    vol = Fraction(0)
-    for hs in halfspaces:
-        pts = sorted(set(_facet_vertices(hs, vertices)))
-        # order the facet ring by projecting out the dominant normal axis
-        nrm = hs[0]
-        drop = max(range(3), key=lambda i: abs(nrm[i]))
-        keep = [i for i in range(3) if i != drop]
-        proj = {p: (p[keep[0]], p[keep[1]]) for p in pts}
-        centroid = tuple(
-            sum((proj[p][j] for p in pts), Fraction(0)) / len(pts) for j in range(2)
-        )
-        ring = _ccw_order(list(proj.values()), centroid)
-        back = {proj[p]: p for p in pts}
-        ordered = [back[q] for q in ring]
-        q0 = vec_sub(ordered[0], x0)
-        for i in range(1, len(ordered) - 1):
-            qi = vec_sub(ordered[i], x0)
-            qj = vec_sub(ordered[i + 1], x0)
-            vol += abs(det((q0, qi, qj)))
-    return vol / 6
+        total = 0
+        for _, (a, b) in facets:
+            pa, pb = rel[a], rel[b]
+            total += abs(pa[0] * pb[1] - pa[1] * pb[0])
+        return total
+    total = 0
+    for _, inc in facets:
+        # fan from one vertex; the others, seen from it, lie within a
+        # half-plane, so the sign of a cross product orders them
+        p0 = inc[0]
+        axis = _cross(tuple(x - y for x, y in zip(inc[1], p0)),
+                      tuple(x - y for x, y in zip(inc[2], p0)))
+
+        def turn(a, b, p0=p0, axis=axis):
+            da = tuple(x - y for x, y in zip(a, p0))
+            db = tuple(x - y for x, y in zip(b, p0))
+            s = _dot(axis, _cross(da, db))
+            return -1 if s > 0 else (1 if s < 0 else 0)
+
+        ring = sorted(inc[1:], key=cmp_to_key(turn))
+        q0 = rel[p0]
+        total += abs(sum(_dot(q0, _cross(rel[a], rel[b])) for a, b in zip(ring, ring[1:])))
+    return total
 
 
 def dirichlet_domain(L: EucLattice, x0: Optional[Sequence] = None) -> ConvexCell:
@@ -206,8 +244,9 @@ def dirichlet_domain(L: EucLattice, x0: Optional[Sequence] = None) -> ConvexCell
 
     Facet half-spaces are the bisectors of the relevant lattice vectors,
     vertices come from nonsingular n-fold bisector intersections, and the
-    volume is a cone decomposition from x0. The cell always has volume
-    equal to the covolume and is centrally symmetric about x0.
+    volume is a cone decomposition from x0. The cell is re-verified to
+    have volume equal to the covolume and to be centrally symmetric about
+    x0; otherwise ConstructionFailed is raised.
     """
     n = L.dim
     if n > 3:
@@ -215,13 +254,28 @@ def dirichlet_domain(L: EucLattice, x0: Optional[Sequence] = None) -> ConvexCell
     base = tuple(frac(x) for x in (x0 if x0 is not None else [0] * n))
     if len(base) != n:
         raise ValueError("base point dimension does not match the lattice")
-    halfspaces = []
-    for v in _relevant_vectors(L):
-        halfspaces.append((v, dot(v, base) + dot(v, v) / 2))
-    vertices = _vertex_candidates(halfspaces, n)
-    facets = _prune_to_facets(halfspaces, vertices, n)
+    D = denominator_lcm(x for row in L.basis for x in row)
+    E = denominator_lcm(base)
+    h = 2 * E
+    Y = tuple(int(x * D * E) for x in base)
+    ws = _relevant_vectors(_lll([tuple(int(x * D) for x in col) for col in L.columns]))
+    cs = [2 * _dot(w, Y) + E * _dot(w, w) for w in ws]
+    verts, q = _vertices(ws, cs, n)
+    facets = _facets(ws, cs, verts, q, n)
+    # x = V / den for a vertex numerator V; x0 has numerator 2q·Y
+    den = q * h * D
+    center = tuple(2 * q * y for y in Y)
+    volume = Fraction(_volume(facets, verts, center, n), factorial(n) * den ** n)
+    mirrored = {tuple(2 * c - x for c, x in zip(center, v)) for v in verts}
+    symmetric = mirrored == set(verts)
+    covol = covolume(L)
+    if volume != covol or not symmetric:
+        raise ConstructionFailed(
+            "Dirichlet cell fails its re-check",
+            {"volume": volume, "covolume": covol, "symmetric": symmetric})
     return ConvexCell(
-        halfspaces=tuple(sorted(facets)),
-        vertices=tuple(vertices),
-        volume=_volume(vertices, facets, base, n),
+        halfspaces=tuple((tuple(Fraction(x, D) for x in ws[j]), Fraction(cs[j], h * D * D))
+                         for j, _ in facets),
+        vertices=tuple(tuple(Fraction(x, den) for x in v) for v in verts),
+        volume=volume,
     )

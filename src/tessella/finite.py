@@ -35,6 +35,15 @@ def atom_set(xs: Iterable[int]) -> AtomSet:
     return frozenset(int(x) for x in xs)
 
 
+def _int_rows(rows: Iterable[Iterable[int]], what: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of integer entries as tuples; a float, a bool or any other
+    entry that is not an int is refused, not truncated."""
+    out = tuple(tuple(row) for row in rows)
+    if any(type(x) is not int for row in out for x in row):
+        raise InvalidInput(f"{what} entries must be integers")
+    return out
+
+
 class FiniteMeasureSpace:
     """Finite atomic measure space: atom i has weight weights[i] > 0."""
 
@@ -69,7 +78,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = _int_rows(table, "multiplication table")
         n = len(self.table)
         if n == 0:
             raise InvalidInput("a group needs at least the identity")
@@ -154,12 +163,12 @@ class FiniteAction:
 
     def __init__(self, group: FiniteGroup, space: FiniteMeasureSpace,
                  perms: Sequence[Sequence[int]], side: str = "left"):
+        self.perms = _int_rows(perms, "permutation")
         if side not in ("left", "right"):
             raise InvalidInput("side must be 'left' or 'right'")
         self.group = group
         self.space = space
         self.side = side
-        self.perms = tuple(tuple(int(x) for x in p) for p in perms)
         n = space.n
         if len(self.perms) != len(group):
             raise InvalidInput("one permutation per group element required")
@@ -522,9 +531,9 @@ class SemidirectSpec:
 
     def __init__(self, lambda_group: FiniteGroup, gamma_group: FiniteGroup,
                  alpha: Sequence[Sequence[int]]):
+        self.alpha = _int_rows(alpha, "alpha")
         self.lambda_group = lambda_group
         self.gamma_group = gamma_group
-        self.alpha = tuple(tuple(int(x) for x in a) for a in alpha)
         nl, ng = len(lambda_group), len(gamma_group)
         if len(self.alpha) != nl:
             raise InvalidAlpha("one automorphism per Lambda element required")

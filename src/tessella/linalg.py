@@ -191,18 +191,23 @@ def hnf_rational(columns: Sequence[Vec]) -> Mat:
     return tuple(tuple(Fraction(h[i][j], d) for j in range(n)) for i in range(n))
 
 
-def gram_schmidt_sq(columns: Sequence[Vec]) -> list[Fraction]:
-    """Squared norms of the Gram-Schmidt orthogonalization of the columns."""
+def gram_schmidt(columns: Sequence[Vec]) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Squared norms |b*_k|^2 of the Gram-Schmidt orthogonalization of the
+    columns, and the coefficients mu[k][j] = <b_k, b*_j> / |b*_j|^2, j < k."""
     basis: list[Vec] = []
-    out: list[Fraction] = []
+    norms: list[Fraction] = []
+    mu: list[list[Fraction]] = []
     for c in columns:
         v = vec(c)
-        for b in basis:
-            bb = dot(b, b)
-            v = vec_sub(v, vec_scale(dot(v, b) / bb, b))
+        row = []
+        for b, bb in zip(basis, norms):
+            m = dot(v, b) / bb
+            row.append(m)
+            v = vec_sub(v, vec_scale(m, b))
         basis.append(v)
-        out.append(dot(v, v))
-    return out
+        norms.append(dot(v, v))
+        mu.append(row)
+    return norms, mu
 
 
 def floor_frac(x: Fraction) -> int:

@@ -355,3 +355,141 @@ def fraction_reduce_mod(region, basis):
         pieces=frozen_pieces,
         cell_basis=mat_mul(refined, tuple(tuple(map(Fraction, row)) for row in H)),
     )
+
+
+# --------------------------------------------------------- Dirichlet cells
+# The Fraction pipeline that `tessella.dirichlet` replaced with scaled
+# integers: short vectors in the box of the given basis, a Gauss-Jordan
+# solve per n-subset of bisectors, and facet rings ordered by angle.
+
+
+def fraction_dirichlet_domain(L, x0=None):
+    """`dirichlet_domain` with every coordinate a Fraction, enumerating
+    short vectors in the box spanned by the given (unreduced) basis."""
+    from tessella.dirichlet import ConvexCell
+    from tessella.linalg import dot, frac
+
+    n = L.dim
+    base = tuple(frac(x) for x in (x0 if x0 is not None else [0] * n))
+    halfspaces = [(v, dot(v, base) + dot(v, v) / 2)
+                  for v in _fraction_relevant_vectors(L)]
+    vertices = _fraction_vertex_candidates(halfspaces, n)
+    facets = _fraction_prune_to_facets(halfspaces, vertices, n)
+    return ConvexCell(
+        halfspaces=tuple(sorted(facets)),
+        vertices=tuple(vertices),
+        volume=_fraction_volume(vertices, facets, base, n),
+    )
+
+
+def _fraction_relevant_vectors(L):
+    from tessella.linalg import dot, gram_schmidt, isqrt_floor, mat_inv, mat_vec
+
+    bound_sq = sum(gram_schmidt(L.columns)[0], Fraction(0))
+    Binv = mat_inv(L.basis)
+    ranges = []
+    for row in Binv:
+        q = bound_sq * sum((x * x for x in row), Fraction(0))
+        m = isqrt_floor(q.numerator * q.denominator) // q.denominator
+        ranges.append(range(-m, m + 1))
+    candidates = []
+    for z in product(*ranges):
+        if any(z):
+            v = mat_vec(L.basis, tuple(Fraction(zi) for zi in z))
+            if dot(v, v) <= bound_sq:
+                candidates.append(v)
+    candidates.sort()
+    return [v for v in candidates
+            if all(dot(v, u) <= dot(u, u) for u in candidates)]
+
+
+def _fraction_vertex_candidates(halfspaces, n):
+    from itertools import combinations
+
+    from tessella.linalg import det, dot, mat_inv, mat_vec
+
+    seen = set()
+    for combo in combinations(range(len(halfspaces)), n):
+        rows = tuple(halfspaces[i][0] for i in combo)
+        if det(rows) == 0:
+            continue
+        p = mat_vec(mat_inv(rows), tuple(halfspaces[i][1] for i in combo))
+        if p not in seen and all(dot(nrm, p) <= off for nrm, off in halfspaces):
+            seen.add(p)
+    return sorted(seen)
+
+
+def _fraction_ccw_order(points, center):
+    from functools import cmp_to_key
+
+    def half(d):
+        return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+
+    def cmp(a, b):
+        da = (a[0] - center[0], a[1] - center[1])
+        db = (b[0] - center[0], b[1] - center[1])
+        if half(da) != half(db):
+            return half(da) - half(db)
+        cr = da[0] * db[1] - da[1] * db[0]
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+    return sorted(points, key=cmp_to_key(cmp))
+
+
+def _fraction_incident(halfspace, vertices):
+    from tessella.linalg import dot
+
+    nrm, off = halfspace
+    return sorted({p for p in vertices if dot(nrm, p) == off})
+
+
+def _fraction_prune_to_facets(halfspaces, vertices, n):
+    from itertools import combinations
+
+    from tessella.linalg import vec_sub
+
+    kept = []
+    for hs in halfspaces:
+        pts = _fraction_incident(hs, vertices)
+        if len(pts) < n:
+            continue
+        if n == 3:
+            dirs = [vec_sub(p, pts[0]) for p in pts[1:]]
+            if not any(
+                d1[1] * d2[2] - d1[2] * d2[1] or d1[2] * d2[0] - d1[0] * d2[2]
+                or d1[0] * d2[1] - d1[1] * d2[0]
+                for d1, d2 in combinations(dirs, 2)
+            ):
+                continue
+        kept.append(hs)
+    return kept
+
+
+def _fraction_volume(vertices, halfspaces, x0, n):
+    from tessella.linalg import det, vec_sub
+
+    if n == 1:
+        xs = sorted(p[0] for p in vertices)
+        return xs[-1] - xs[0]
+    if n == 2:
+        ring = _fraction_ccw_order(vertices, x0)
+        area = Fraction(0)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            a, b = vec_sub(a, x0), vec_sub(b, x0)
+            area += a[0] * b[1] - a[1] * b[0]
+        return abs(area) / 2
+    vol = Fraction(0)
+    for hs in halfspaces:
+        pts = _fraction_incident(hs, vertices)
+        # order the facet ring by projecting out the dominant normal axis
+        drop = max(range(3), key=lambda i: abs(hs[0][i]))
+        keep = [i for i in range(3) if i != drop]
+        proj = {p: (p[keep[0]], p[keep[1]]) for p in pts}
+        centroid = tuple(sum((q[j] for q in proj.values()), Fraction(0)) / len(pts)
+                         for j in range(2))
+        back = {q: p for p, q in proj.items()}
+        ordered = [back[q] for q in _fraction_ccw_order(list(proj.values()), centroid)]
+        q0 = vec_sub(ordered[0], x0)
+        for a, b in zip(ordered[1:], ordered[2:]):
+            vol += abs(det((q0, vec_sub(a, x0), vec_sub(b, x0))))
+    return vol / 6

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from tessella.dirichlet import dirichlet_domain
 from tessella.errors import DimensionTooLarge, InvalidInput
 from tessella.lattices import EucLattice, covolume
+from tessella.linalg import det, mat
 
 import oracles
 
@@ -128,3 +130,84 @@ def test_skewed_basis_same_cell():
     assert a.same_lattice(b)
     assert sorted(dirichlet_domain(a).vertices) == \
         sorted(dirichlet_domain(b).vertices)
+
+
+def random_lattice_3d(rng):
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(3)] for _ in range(3)]
+        try:
+            return EucLattice(rows)
+        except InvalidInput:
+            continue
+
+
+def test_3d_volumes_match_hull_oracle_on_random_bases():
+    rng = random.Random(67)
+    for _ in range(8):
+        lat = random_lattice_3d(rng)
+        cell = dirichlet_domain(lat)
+        assert cell.volume == covolume(lat)
+        hull = oracles.hull_volume([tuple(map(float, v))
+                                    for v in cell.vertices])
+        assert abs(float(cell.volume) - hull) < 1e-9 * max(1.0, hull)
+        assert central_symmetry_holds(cell, (0, 0, 0))
+
+
+def test_cost_is_set_by_the_lattice_not_its_basis():
+    # Z^3 with generators of length about 60: the enumeration box of the
+    # given basis would hold millions of points; the reduced basis does not
+    skewed = EucLattice([[1, 60, 0], [0, 1, 60], [0, 0, 1]])
+    assert skewed.same_lattice(EucLattice.standard(3))
+    assert dirichlet_domain(skewed) == dirichlet_domain(EucLattice.standard(3))
+
+
+# ------------------------------------------- differential against Fractions
+
+small_q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+positive_q = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+
+
+@st.composite
+def rational_bases(draw, n):
+    rows = draw(st.lists(st.lists(small_q, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(det(mat(rows)) != 0)
+    return rows
+
+
+@st.composite
+def diagonal_bases(draw, n):
+    d = draw(st.lists(positive_q, min_size=n, max_size=n))
+    return [[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def skewed_bases(draw, n):
+    """A diagonal or random basis times a product of elementary
+    unimodular column operations."""
+    rows = draw(st.one_of(diagonal_bases(n), rational_bases(n)))
+    for _ in range(draw(st.integers(1, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-2, 2))
+        rows = [[r[c] + (k * r[j] if c == i else 0) for c in range(n)] for r in rows]
+    return rows
+
+
+@st.composite
+def lattices_with_base_points(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(st.one_of(rational_bases(n), diagonal_bases(n), skewed_bases(n)))
+    x0 = draw(st.none() | st.lists(small_q, min_size=n, max_size=n))
+    return rows, x0
+
+
+@given(lattices_with_base_points())
+def test_cell_equals_fraction_reference(case):
+    rows, x0 = case
+    lat = EucLattice(rows)
+    cell = dirichlet_domain(lat, x0)
+    ref = oracles.fraction_dirichlet_domain(lat, x0)
+    assert cell.halfspaces == ref.halfspaces
+    assert cell.vertices == ref.vertices
+    assert cell.volume == ref.volume

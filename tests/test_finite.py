@@ -681,3 +681,36 @@ def test_common_domain_matches_brute_force():
             assert exists
             assert verify_fundamental_domain(pair.left, D).ok
             assert verify_fundamental_domain(pair.right, D).ok
+
+
+# ------------------------------------------------------- integer entries
+
+
+def test_float_table_entries_are_refused_not_truncated():
+    # int(0.5) == 0 would make this the trivial group, and the float
+    # table below would pass for Z/2
+    for table in ([[0.5]], [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(InvalidInput,
+                           match="^multiplication table entries must be integers$"):
+            FiniteGroup(table)
+
+
+def test_boolean_table_entries_are_refused():
+    with pytest.raises(InvalidInput,
+                       match="^multiplication table entries must be integers$"):
+        FiniteGroup([[False, True], [True, False]])
+
+
+def test_float_permutation_entries_are_refused():
+    space = FiniteMeasureSpace([1, 1])
+    with pytest.raises(InvalidInput, match="^permutation entries must be integers$"):
+        FiniteAction(FiniteGroup.cyclic(2), space, [(0, 1), (1.0, 0)])
+    # the entry check comes before every other check, the side included
+    with pytest.raises(InvalidInput, match="^permutation entries must be integers$"):
+        FiniteAction(FiniteGroup.trivial(), space, [(0.0, 1)], side="up")
+
+
+def test_float_alpha_entries_are_refused():
+    z2, z3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    with pytest.raises(InvalidInput, match="^alpha entries must be integers$"):
+        SemidirectSpec(z2, z3, [(0, 1, 2), (0, 2.0, 1)])

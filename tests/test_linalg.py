@@ -8,7 +8,7 @@ from tessella.linalg import (
     det,
     floor_frac,
     frac,
-    gram_schmidt_sq,
+    gram_schmidt,
     hnf,
     hnf_rational,
     identity,
@@ -140,9 +140,9 @@ def vec_scale_q(c, q):
 
 def test_gram_schmidt_known_values():
     # orthogonal columns pass through unchanged
-    assert gram_schmidt_sq([(1, 0), (0, 3)]) == [1, 9]
+    assert gram_schmidt([(1, 0), (0, 3)]) == ([1, 9], [[], [0]])
     # (1,1) against (1,0) leaves (0,1)
-    assert gram_schmidt_sq([(1, 0), (1, 1)]) == [1, 1]
+    assert gram_schmidt([(1, 0), (1, 1)]) == ([1, 1], [[], [1]])
 
 
 @given(square_int_matrices(3, -4, 4))
@@ -151,7 +151,7 @@ def test_gram_schmidt_product_is_det_squared(rows):
     d = det(m)
     if d == 0:
         return
-    sq = gram_schmidt_sq(_columns(rows))
+    sq, _ = gram_schmidt(_columns(rows))
     prod = Fraction(1)
     for s in sq:
         prod *= s

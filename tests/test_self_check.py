@@ -5,8 +5,11 @@ exit 2 with a witness) and never an AssertionError, also under
 
 Each fault wraps one engine step so that it returns a wrong answer: the
 finite and lattice selections drop the last item of every domain, the
-Heisenberg planar split moves the first exponent by one, and the
-coverage count in `boxes.reduce_mod` covers its first cell once more.
+Heisenberg planar split moves the first exponent by one, the
+coverage count in `boxes.reduce_mod` covers its first cell once more,
+and the cone volume of a Dirichlet cell counts one unit too many.
+Dirichlet cells have no CLI command, so that engine is checked through
+the library alone.
 """
 
 import contextlib
@@ -18,7 +21,7 @@ import sys
 
 import pytest
 
-from tessella import boxes, finite, heis, jsonio, lattices
+from tessella import boxes, dirichlet, finite, heis, jsonio, lattices
 from tessella.cli import main
 from tessella.errors import ConstructionFailed
 
@@ -51,6 +54,12 @@ def _overcount_first_cell(real):
     return fake
 
 
+def _overcount_volume(real):
+    def fake(*args, **kwargs):
+        return real(*args, **kwargs) + 1
+    return fake
+
+
 def _payload(name):
     return jsonio.load_instance(inst(name))[1]
 
@@ -79,7 +88,13 @@ def _boxes_library():
                                  jsonio.parse_lattice(payload["lattice"]))
 
 
-# engine -> (module, attribute, fault, library call, CLI argv, witness keys)
+def _dirichlet_library():
+    dirichlet.dirichlet_domain(lattices.EucLattice([[2, 1, 0], [1, 2, 0], [0, 0, 1]]),
+                               ("1/3", 0, "1/2"))
+
+
+# engine -> (module, attribute, fault, library call, CLI argv or None,
+#            witness keys)
 FAULTS = {
     "finite": (finite, "select_and_deal", _drop_last, _finite_library,
                ["finite", "construct", inst("z6_one_plus_half.json")],
@@ -93,31 +108,40 @@ FAULTS = {
     "boxes": (boxes, "compressed_cover", _overcount_first_cell, _boxes_library,
               ["verify", inst("square_tiling.json")],
               {"measure", "expected"}),
+    "dirichlet": (dirichlet, "_volume", _overcount_volume, _dirichlet_library,
+                  None, {"volume", "covolume", "symmetric"}),
 }
 
 
-def run_faulty(engine: str) -> tuple[str, int, str]:
+def run_faulty(engine: str) -> tuple[str, list, int, str]:
     """Install the engine's fault, then run its library call and its CLI
-    command. Returns (name of what the library raised, exit code, stdout)."""
+    command. Returns (name of what the library raised, the sorted keys of
+    its witness, exit code, stdout); the last two are None and "" for an
+    engine without a CLI command."""
     module, attr, fault, library, argv, _ = FAULTS[engine]
     real = getattr(module, attr)
     setattr(module, attr, fault(real))
+    code, out, keys = None, io.StringIO(), []
     try:
         try:
             library()
             raised = "nothing"
         except Exception as exc:
             raised = type(exc).__name__
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(list(argv))
+            keys = sorted(getattr(exc, "witness", {}))
+        if argv is not None:
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
     finally:
         setattr(module, attr, real)
-    return raised, code, out.getvalue()
+    return raised, keys, code, out.getvalue()
 
 
-def _assert_verification_failed(engine, raised, code, out):
+def _assert_verification_failed(engine, raised, keys, code, out):
     assert raised == "ConstructionFailed"
+    assert set(keys) == FAULTS[engine][5]
+    if FAULTS[engine][4] is None:
+        return
     assert code == 2
     report = json.loads(out)
     assert report["verdict"] == "verification-failed"
@@ -141,8 +165,17 @@ def test_fault_is_caught_under_optimize(engine):
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    raised, code, out = json.loads(done.stdout)
-    _assert_verification_failed(engine, raised, code, out)
+    _assert_verification_failed(engine, *json.loads(done.stdout))
+
+
+def test_dirichlet_witness_names_both_values(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_volume", _overcount_volume(dirichlet._volume))
+    with pytest.raises(ConstructionFailed) as info:
+        _dirichlet_library()
+    witness = info.value.witness
+    assert witness["covolume"] == 3
+    assert witness["volume"] > witness["covolume"]
+    assert witness["symmetric"] is True
 
 
 def test_witness_travels_with_the_error(monkeypatch):
