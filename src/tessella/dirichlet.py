@@ -20,10 +20,11 @@ delta = 3/4) before the short vectors are enumerated, so the
 enumeration box, and with it the cost, is set by the lattice and not by
 how skewed the given generators are.
 
-Independence of the basis. The facet candidates are exactly the weakly
-Voronoi-relevant vectors: the nonzero v in L with v·u <= |u|^2 for every
-u in L, that is, v/2 in the closed cell of the origin. That set is a
-property of the lattice alone, and the enumeration bound only has to
+Independence of the basis. The bisectors kept are exactly the facets:
+the strictly Voronoi-relevant vectors, the nonzero v in L with
+|v·u| < |u|^2 for every u in L other than 0 and +-v, that is, v/2
+strictly closer to 0 and v than to any other lattice point. That set is
+a property of the lattice alone, and the enumeration bound only has to
 exceed it (see `_relevant_vectors`). Everything after it is determined
 by the set and x0, so equal lattices give equal cells, value for value
 and in the same order.
@@ -120,17 +121,19 @@ def _lll(basis: Sequence[IVec]) -> list[IVec]:
 
 
 def _relevant_vectors(basis: Sequence[IVec]) -> list[IVec]:
-    """Lattice vectors whose bisector can touch the cell of the origin,
-    lexicographically sorted; `basis` is an integer basis.
+    """Lattice vectors whose bisector carries a facet of the cell of the
+    origin, lexicographically sorted; `basis` is an integer basis.
 
     Every point of the cell lies within the covering radius mu of the
     lattice, and mu^2 <= (1/4) sum of squared Gram-Schmidt norms (round
     one basis direction at a time), so facet vectors satisfy
-    |v| <= 2 mu. A vector v survives iff v/2 is weakly closer to 0 than
-    to every other enumerated point; vectors beyond the bound can never
-    decide this, because rejecting v/2 would force |u| < |v|. The kept
-    set is symmetric, so v is tested against one of each pair +-u, as
-    |v·u| <= |u|^2, and only one of each pair +-v is tested.
+    |v| <= 2 mu. A vector v survives iff v/2 is strictly closer to 0 than
+    to every other enumerated point but v; vectors beyond the bound can
+    never decide this, because rejecting v/2 would force |u| <= |v|. The
+    kept set is symmetric, so v is tested against one of each pair +-u,
+    as |v·u| < |u|^2, and only one of each pair +-v is tested. A vector
+    whose bisector meets the cell only in a lower-dimensional face, such
+    as (1, 1, 0) for Z^3, has v/2 on another facet's bisector and fails.
     """
     bound = sum(gram_schmidt(basis)[0], Fraction(0))
     rows, d = _inverse_rows(basis)
@@ -149,7 +152,7 @@ def _relevant_vectors(basis: Sequence[IVec]) -> list[IVec]:
     half.sort()
     kept = []
     for _, v in half:
-        if all(abs(_dot(v, u)) <= uu for uu, u in half):
+        if all(abs(_dot(v, u)) < uu for uu, u in half if u != v):
             kept.append(v)
             kept.append(tuple(-x for x in v))
     return sorted(kept)
@@ -190,23 +193,6 @@ def _vertices(ws: Sequence[IVec], cs: Sequence[int], n: int) -> tuple[list[IVec]
     return sorted(tuple(x * (q // d) for x in p) for p, d in found), q
 
 
-def _facets(ws, cs, verts, q: int, n: int) -> list[tuple[int, list[IVec]]]:
-    """Indices of the bisectors that carry a facet, each with its
-    incident vertices: at least n of them spanning an (n-1)-flat."""
-    out = []
-    for j, (w, c) in enumerate(zip(ws, cs)):
-        inc = [v for v in verts if _dot(w, v) == c * q]
-        if len(inc) < n:
-            continue
-        if n == 3:
-            base = inc[0]
-            dirs = [tuple(x - y for x, y in zip(p, base)) for p in inc[1:]]
-            if not any(any(_cross(d1, d2)) for d1, d2 in combinations(dirs, 2)):
-                continue  # a line, not a plane
-        out.append((j, inc))
-    return out
-
-
 def _volume(facets, verts, center: IVec, n: int) -> int:
     """n! times the volume of the cell in numerator units: the cone from
     the interior center over each facet, as integer determinants."""
@@ -215,12 +201,12 @@ def _volume(facets, verts, center: IVec, n: int) -> int:
     rel = {v: tuple(x - y for x, y in zip(v, center)) for v in verts}
     if n == 2:
         total = 0
-        for _, (a, b) in facets:
+        for a, b in facets:
             pa, pb = rel[a], rel[b]
             total += abs(pa[0] * pb[1] - pa[1] * pb[0])
         return total
     total = 0
-    for _, inc in facets:
+    for inc in facets:
         # fan from one vertex; the others, seen from it, lie within a
         # half-plane, so the sign of a cross product orders them
         p0 = inc[0]
@@ -261,7 +247,8 @@ def dirichlet_domain(L: EucLattice, x0: Optional[Sequence] = None) -> ConvexCell
     ws = _relevant_vectors(_lll([tuple(int(x * D) for x in col) for col in L.columns]))
     cs = [2 * _dot(w, Y) + E * _dot(w, w) for w in ws]
     verts, q = _vertices(ws, cs, n)
-    facets = _facets(ws, cs, verts, q, n)
+    # every kept bisector carries a facet: its vertices are those on it
+    facets = [[v for v in verts if _dot(w, v) == c * q] for w, c in zip(ws, cs)]
     # x = V / den for a vertex numerator V; x0 has numerator 2q·Y
     den = q * h * D
     center = tuple(2 * q * y for y in Y)
@@ -274,8 +261,8 @@ def dirichlet_domain(L: EucLattice, x0: Optional[Sequence] = None) -> ConvexCell
             "Dirichlet cell fails its re-check",
             {"volume": volume, "covolume": covol, "symmetric": symmetric})
     return ConvexCell(
-        halfspaces=tuple((tuple(Fraction(x, D) for x in ws[j]), Fraction(cs[j], h * D * D))
-                         for j, _ in facets),
+        halfspaces=tuple((tuple(Fraction(x, D) for x in w), Fraction(c, h * D * D))
+                         for w, c in zip(ws, cs)),
         vertices=tuple(tuple(Fraction(x, den) for x in v) for v in verts),
         volume=volume,
     )

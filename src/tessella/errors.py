@@ -68,11 +68,6 @@ class CovolumeMismatch(TessellaError):
     covolume."""
 
 
-class NonRationalRatio(TessellaError):
-    """Covolume ratio is not rational; unreachable for rational lattices,
-    kept as an explicit guard."""
-
-
 class DimensionTooLarge(TessellaError):
     """Operation only implemented up to dimension 3."""
 

@@ -6,7 +6,9 @@ group element partition the atoms; since the partition is indexed by
 group elements, one exists exactly when the action is free. The
 construction operations realize the packing / common-domain existence
 theorems by `flows.select_and_deal` on the bipartite multigraph whose
-edges are atoms and whose nodes are the orbits of the two actions.
+edges are atoms and whose nodes are the orbits of the two actions. The
+joint-invariant blocks of the measure condition are the connected
+components of that graph, found by the same `flows.joint_blocks` search.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     NotFree,
     TooLarge,
 )
-from .flows import select_and_deal
+from .flows import joint_blocks, select_and_deal
 from .linalg import frac
 
 AtomSet = frozenset
@@ -323,11 +325,24 @@ def find_fundamental_domain(action: FiniteAction) -> AtomSet:
     return frozenset(orbit[0] for orbit in action.orbits())
 
 
+def _orbit_labels(pair: ActionPair) -> tuple[list[int], list[int]]:
+    """Per atom, the index of its orbit under the first (left) and under
+    the second (right) action."""
+    n = pair.space.n
+    left_of, right_of = [0] * n, [0] * n
+    for labels, action in ((left_of, pair.left), (right_of, pair.right)):
+        for i, orbit in enumerate(action.orbits()):
+            for a in orbit:
+                labels[a] = i
+    return left_of, right_of
+
+
 def joint_invariant_partition(pair: ActionPair) -> list[tuple[int, ...]]:
-    """Orbits of the group generated by both actions; every set invariant
-    under both actions is a union of these blocks."""
+    """Orbits of the group generated by both actions, each sorted, ordered
+    by least atom: the `flows.joint_blocks` of the orbit labels. Every set
+    invariant under both actions is a union of these blocks."""
     if pair._blocks is None:
-        pair._blocks = _orbit_partition(pair.space.n, pair.left.perms + pair.right.perms)
+        pair._blocks = [tuple(b) for b in joint_blocks(*_orbit_labels(pair))]
     return pair._blocks
 
 
@@ -391,13 +406,7 @@ def _select_and_deal(pair: ActionPair, k: int, eps, exact_left: bool):
     """`select_and_deal` over the atoms, each labelled by its orbit under
     the first (left) and the second (right) action; the components of
     that labelling are the joint-invariant blocks."""
-    n = pair.space.n
-    left_of, right_of = [0] * n, [0] * n
-    for labels, action in ((left_of, pair.left), (right_of, pair.right)):
-        for i, orbit in enumerate(action.orbits()):
-            for a in orbit:
-                labels[a] = i
-    fs, feps = select_and_deal(left_of, right_of, k, eps, exact_left)
+    fs, feps = select_and_deal(*_orbit_labels(pair), k, eps, exact_left)
     return [frozenset(f) for f in fs], frozenset(feps)
 
 

@@ -3,7 +3,8 @@
 The engines phrase every construction as a selection of items: atoms,
 labelled by their orbits under the two actions, or lattice cells,
 labelled by their L1- and L2-cosets. The joint blocks are the connected
-components of the graph joining items that share a label.
+components of the graph joining items that share a label
+(`joint_blocks`), for atoms also the blocks of the measure condition.
 
 Inside one joint block the two commuting actions permute each other's
 orbits transitively, so every (left label, right label) pair of the block
@@ -68,7 +69,8 @@ def lex_least_selection(
     return kept
 
 
-def _blocks(left_of: Sequence[Hashable], right_of: Sequence[Hashable]) -> Iterator[list[int]]:
+def joint_blocks(left_of: Sequence[Hashable],
+                 right_of: Sequence[Hashable]) -> Iterator[list[int]]:
     """Connected components of the label graph, each a sorted list of
     item indices, in order of their least item."""
     by_left: dict[Hashable, list[int]] = {}
@@ -117,7 +119,7 @@ def select_and_deal(
     whose witness names the block's least item, p, q, k and eps * q.
     """
     selected: list[int] = []
-    for block in _blocks(left_of, right_of):
+    for block in joint_blocks(left_of, right_of):
         left = [left_of[e] for e in block]
         right = [right_of[e] for e in block]
         p, q = len(set(left)), len(set(right))

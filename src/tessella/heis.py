@@ -6,13 +6,17 @@ rational and exact: the group law, two exponential charts, the
 determinant-one planar automorphisms, lattices given by planar generator
 data, constructive reduction to a half-open cell, seeded Monte Carlo
 tiling verification, and word-metric ball growth of the integer points.
+
+A lattice acts on the left (g -> gamma g) or on the right (g -> g gamma),
+by one code path: the side only flips the sign of the central cross term
+(`_residue`) and the order of the quotient (`_quotient`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log
+from math import ceil, log
 from typing import Callable, Optional
 
 from .boxes import Box
@@ -23,7 +27,7 @@ from .errors import (
     TooLarge,
     WindowTooSmall,
 )
-from .linalg import Mat, det, floor_frac, frac, mat, mat_inv, mat_mul, mat_vec
+from .linalg import Mat, det, floor_frac, frac, integer_ranges, mat, mat_inv, mat_mul, mat_vec
 from .sampling import DyadicSampler
 
 
@@ -107,6 +111,14 @@ def cbh_identity_check(v: LieVec, w: LieVec) -> bool:
     return heis_mul(flow_exp(v), flow_exp(w)) == flow_exp(s)
 
 
+def _planar_matrix(A, what: str) -> Mat:
+    """A as a 2x2 rational matrix; InvalidInput naming `what` otherwise."""
+    A = mat(A)
+    if len(A) != 2 or any(len(r) != 2 for r in A):
+        raise InvalidInput(f"{what} data must be a 2x2 matrix")
+    return A
+
+
 @dataclass(frozen=True)
 class HeisAut:
     """Planar determinant-one map (x, c) -> (A x, c).
@@ -120,11 +132,10 @@ class HeisAut:
     A: Mat
 
     def __post_init__(self):
-        A = mat(self.A)
-        if len(A) != 2 or any(len(r) != 2 for r in A):
-            raise InvalidInput("automorphism data must be a 2x2 matrix")
-        if det(A) != 1:
-            raise NotMeasurePreserving(f"determinant {det(A)} != 1")
+        A = _planar_matrix(self.A, "automorphism")
+        d = det(A)
+        if d != 1:
+            raise NotMeasurePreserving(f"determinant {d} != 1")
         object.__setattr__(self, "A", A)
 
 
@@ -155,36 +166,15 @@ def aut_shear_lower(s) -> HeisAut:
     return HeisAut(((Fraction(1), Fraction(0)), (frac(s), Fraction(1))))
 
 
-def aut_is_homomorphism_check(A, pairs: int = 32, seed: int = 0) -> bool:
+def aut_is_homomorphism_check(A) -> bool:
     """Whether (x, c) -> (A x, c) respects the product, for a raw 2x2
     rational matrix (no determinant precondition).
 
-    Checked on the fixed pair ((1,0,0), (0,1,0)), whose symplectic form
-    is 1 and therefore witnesses every det != 1 failure, plus seeded
-    random pairs.
+    The central term of (A x, c)(A y, d) is c + d + det(A) w(x, y), with
+    w the planar symplectic form, and that of the image of (x, c)(y, d)
+    is c + d + w(x, y); they agree for all x, y exactly when det A = 1.
     """
-    A = mat(A)
-    if len(A) != 2 or any(len(r) != 2 for r in A):
-        raise InvalidInput("automorphism data must be a 2x2 matrix")
-
-    def apply(g: HeisPoint) -> HeisPoint:
-        x = mat_vec(A, (g.x1, g.x2))
-        return HeisPoint(x[0], x[1], g.c)
-
-    sampler = DyadicSampler(seed)
-
-    def rand_point() -> HeisPoint:
-        return HeisPoint(
-            sampler.in_interval(-2, 2),
-            sampler.in_interval(-2, 2),
-            sampler.in_interval(-2, 2),
-        )
-
-    probe = [(HeisPoint(1, 0, 0), HeisPoint(0, 1, 0))]
-    probe += [(rand_point(), rand_point()) for _ in range(pairs)]
-    return all(
-        apply(heis_mul(g, h)) == heis_mul(apply(g), apply(h)) for g, h in probe
-    )
+    return det(_planar_matrix(A, "automorphism")) == 1
 
 
 @dataclass(frozen=True)
@@ -207,9 +197,7 @@ class HeisLattice:
     A_inv: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = mat(self.A)
-        if len(A) != 2 or any(len(r) != 2 for r in A):
-            raise InvalidInput("lattice data must be a 2x2 matrix")
+        A = _planar_matrix(self.A, "lattice")
         d = det(A)
         if d == 0 or (2 * d).denominator != 1:
             raise InvalidInput(
@@ -250,14 +238,13 @@ def malcev_lattice_check(A) -> bool:
     """Whether the planar data generates a lattice: det A must be a
     nonzero half-integer. On success the closure is re-verified on the
     generators (pairwise products, inverses, and the commutator, which
-    equals (0, 0, 2 det A))."""
-    A = mat(A)
-    if len(A) != 2 or any(len(r) != 2 for r in A):
-        raise InvalidInput("lattice data must be a 2x2 matrix")
-    d = det(A)
-    if d == 0 or (2 * d).denominator != 1:
+    equals (0, 0, 2 det A)); these checks are part of the verdict, so
+    they also run under `python -O`."""
+    A = _planar_matrix(A, "lattice")
+    try:
+        L = HeisLattice(A)
+    except InvalidInput:  # A is 2x2, so det A is no nonzero half-integer
         return False
-    L = HeisLattice(A)
     gens = list(L.generators())
     probes = gens + [heis_inv(g) for g in gens]
     for g in probes:
@@ -266,8 +253,7 @@ def malcev_lattice_check(A) -> bool:
                 return False
     y1, y2 = gens[0], gens[1]
     comm = heis_mul(heis_mul(y1, y2), heis_inv(heis_mul(y2, y1)))
-    assert comm == HeisPoint(0, 0, 2 * d)
-    return L.contains(comm)
+    return comm == HeisPoint(0, 0, 2 * L.planar_det) and L.contains(comm)
 
 
 def lattice_covolume(L: HeisLattice) -> Fraction:
@@ -326,44 +312,49 @@ def _planar_split(L: HeisLattice, g: HeisPoint):
     return n1, n2, p, q
 
 
-def reduce_left(g: HeisPoint, L: HeisLattice) -> Reduction:
-    """Unique gamma in L and omega in the cell with g = gamma * omega.
+def _residue(side: str, c: Fraction, p, q) -> Fraction:
+    """Central residue s = c - p x q (left) or c + p x q (right) of a point
+    with planar part p + q, once the generator part p is taken off on that
+    side; n3 is then floor(s - n1 n2 det A)."""
+    cross = p[0] * q[1] - p[1] * q[0]
+    return c - cross if side == "left" else c + cross
 
-    The planar coordinates force n1, n2 by flooring; conjugating the
-    planar part off leaves a central residue s, and n3 = floor(s - n1 n2
-    det A) puts the remainder in [0, 1). Existence and uniqueness of the
+
+def _quotient(side: str, g: HeisPoint, gamma: HeisPoint) -> HeisPoint:
+    """gamma^-1 g on the left, g gamma^-1 on the right."""
+    if side == "left":
+        return heis_mul(heis_inv(gamma), g)
+    return heis_mul(g, heis_inv(gamma))
+
+
+def _reduce(g: HeisPoint, L: HeisLattice, side: str) -> Reduction:
+    """The planar coordinates force n1, n2 by flooring; taking the planar
+    part off leaves the central residue s, and n3 = floor(s - n1 n2 det A)
+    puts the remainder in [0, 1). Existence and uniqueness of the
     decomposition is exactly this computation run forward and backward.
-    Both reductions check omega and the product before return
-    (ConstructionFailed otherwise).
-    """
+    Before return, omega is checked to lie in the cell and the product of
+    gamma and omega, in the side's order, to give back g
+    (ConstructionFailed otherwise)."""
     n1, n2, p, q = _planar_split(L, g)
-    s = g.c - (p[0] * q[1] - p[1] * q[0])
-    n3 = floor_frac(s - n1 * n2 * L.planar_det)
+    n3 = floor_frac(_residue(side, g.c, p, q) - n1 * n2 * L.planar_det)
     gamma = L.element(n1, n2, n3)
-    omega = heis_mul(heis_inv(gamma), g)
-    _check_reduction(L, g, omega, heis_mul(gamma, omega))
-    return Reduction(gamma, (n1, n2, n3), omega)
-
-
-def reduce_right(g: HeisPoint, L: HeisLattice) -> Reduction:
-    """Unique omega in the cell and gamma in L with g = omega * gamma."""
-    n1, n2, p, q = _planar_split(L, g)
-    s = g.c + (p[0] * q[1] - p[1] * q[0])
-    n3 = floor_frac(s - n1 * n2 * L.planar_det)
-    gamma = L.element(n1, n2, n3)
-    omega = heis_mul(g, heis_inv(gamma))
-    _check_reduction(L, g, omega, heis_mul(omega, gamma))
-    return Reduction(gamma, (n1, n2, n3), omega)
-
-
-def _check_reduction(L: HeisLattice, g: HeisPoint, omega: HeisPoint,
-                     product: HeisPoint) -> None:
-    """Postcondition of both reductions: omega lies in the cell and the
-    product of gamma and omega, in the side's order, gives back g."""
+    omega = _quotient(side, g, gamma)
+    product = heis_mul(gamma, omega) if side == "left" else heis_mul(omega, gamma)
     if not cell_contains(L, omega) or product != g:
         raise ConstructionFailed(
             "the reduction does not put the point into the cell",
             {"point": list(g.as_tuple()), "omega": list(omega.as_tuple())})
+    return Reduction(gamma, (n1, n2, n3), omega)
+
+
+def reduce_left(g: HeisPoint, L: HeisLattice) -> Reduction:
+    """Unique gamma in L and omega in the cell with g = gamma * omega."""
+    return _reduce(g, L, "left")
+
+
+def reduce_right(g: HeisPoint, L: HeisLattice) -> Reduction:
+    """Unique omega in the cell and gamma in L with g = omega * gamma."""
+    return _reduce(g, L, "right")
 
 
 @dataclass(frozen=True)
@@ -426,10 +417,6 @@ class MCReport:
         return self.histogram == {1: self.samples}
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -floor_frac(-x)
-
-
 def _count_translates(
     z: HeisPoint, candidate: CandidateDomain, action: HeisAction
 ) -> tuple[int, bool]:
@@ -437,43 +424,25 @@ def _count_translates(
 
     Only finitely many gamma can carry z into the bounding box: the
     planar part pins n1, n2 to an interval box (via the inverse planar
-    data), and for each planar choice the central box interval pins n3.
-    Every surviving gamma is tested by exact membership.
+    data), and for each planar choice the central box interval pins n3
+    through the same residue as the reductions. Every surviving gamma is
+    tested by exact membership.
     """
     L = action.lattice
-    d = L.planar_det
-    Ainv = L.A_inv
+    side = action.side
     (blo1, bhi1), (blo2, bhi2), (blo3, bhi3) = candidate.bbox
-    zx = (z.x1, z.x2)
-    p_lo = (zx[0] - bhi1, zx[1] - bhi2)
-    p_hi = (zx[0] - blo1, zx[1] - blo2)
-    n_lo, n_hi = [], []
-    for i in range(2):
-        lo = hi = Fraction(0)
-        for j in range(2):
-            a, b = Ainv[i][j] * p_lo[j], Ainv[i][j] * p_hi[j]
-            lo += min(a, b)
-            hi += max(a, b)
-        n_lo.append(_ceil_frac(lo))
-        n_hi.append(floor_frac(hi))
+    r1, r2 = integer_ranges(L.A_inv, (z.x1 - bhi1, z.x2 - bhi2), (z.x1 - blo1, z.x2 - blo2))
     count = 0
     tainted = False
-    for n1 in range(n_lo[0], n_hi[0] + 1):
-        for n2 in range(n_lo[1], n_hi[1] + 1):
+    for n1 in r1:
+        for n2 in r2:
             p = mat_vec(L.A, (Fraction(n1), Fraction(n2)))
             q = (z.x1 - p[0], z.x2 - p[1])
-            cross = p[0] * q[1] - p[1] * q[0]
-            s = z.c - cross if action.side == "left" else z.c + cross
-            e_lo = s - bhi3
-            e_hi = s - blo3
-            k_lo = _ceil_frac(e_lo - n1 * n2 * d)
-            k_hi = floor_frac(e_hi - n1 * n2 * d)
-            for n3 in range(k_lo, k_hi + 1):
-                gamma = L.element(n1, n2, n3)
-                if action.side == "left":
-                    w = heis_mul(heis_inv(gamma), z)
-                else:
-                    w = heis_mul(z, heis_inv(gamma))
+            # gamma = L.element(n1, n2, n3) = (p, c0 + n3), built from p here
+            c0 = n1 * n2 * L.planar_det
+            e = _residue(side, z.c, p, q) - c0
+            for n3 in range(ceil(e - bhi3), floor_frac(e - blo3) + 1):
+                w = _quotient(side, z, HeisPoint(p[0], p[1], c0 + n3))
                 if candidate.boundary is not None and candidate.boundary(w):
                     tainted = True
                 if candidate.contains(w):

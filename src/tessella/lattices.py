@@ -46,6 +46,7 @@ from .linalg import (
     hnf,
     hnf_rational,
     identity,
+    integer_ranges,
     mat,
     mat_inv,
     mat_mul,
@@ -496,20 +497,10 @@ def boundary_count(
     # frame-coordinate translation t = C z must put bbox(X)+t against bbox(A)
     t_lo = [lo_a[j] - hi_x[j] for j in range(n)]
     t_hi = [hi_a[j] - lo_x[j] for j in range(n)]
-    Cinv = mat_inv(C)
-    z_lo, z_hi = [], []
-    for i in range(n):
-        lo = hi = Fraction(0)
-        for j in range(n):
-            a, b = Cinv[i][j] * t_lo[j], Cinv[i][j] * t_hi[j]
-            lo += min(a, b)
-            hi += max(a, b)
-        z_lo.append(floor_frac(lo))
-        z_hi.append(floor_frac(hi) + 1)
     m_x = X.measure
     scale = abs(det(F))
     interior = boundary = 0
-    for z in product(*[range(z_lo[i], z_hi[i] + 1) for i in range(n)]):
+    for z in product(*integer_ranges(mat_inv(C), t_lo, t_hi)):
         t = mat_vec(C, tuple(Fraction(x) for x in z))
         m = Fraction(0)
         for bx in X.boxes:

@@ -8,7 +8,7 @@ tuples. All operations are pure and return new tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -120,10 +120,6 @@ def mat_inv(a: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in m)
 
 
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def denominator_lcm(xs: Iterable[Fraction]) -> int:
     d = 1
     for x in xs:
@@ -214,11 +210,16 @@ def floor_frac(x: Fraction) -> int:
     return Fraction(x).numerator // Fraction(x).denominator
 
 
-def isqrt_floor(x: Fraction) -> int:
-    """Largest integer k with k*k <= x (x >= 0)."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    k = isqrt(floor_frac(x))
-    while (k + 1) * (k + 1) <= x:
-        k += 1
-    return k
+def integer_ranges(M: Mat, lo: Sequence[Fraction], hi: Sequence[Fraction]) -> list[range]:
+    """Per row i of M, the integers between the least and the greatest
+    value of (M t)_i over the box lo <= t <= hi, by interval arithmetic.
+    Every integer vector M t with t in the box lies in their product."""
+    out = []
+    for row in M:
+        a = b = Fraction(0)
+        for m, l, h in zip(row, lo, hi):
+            x, y = m * l, m * h
+            a += min(x, y)
+            b += max(x, y)
+        out.append(range(-floor_frac(-a), floor_frac(b) + 1))
+    return out

@@ -383,14 +383,14 @@ def fraction_dirichlet_domain(L, x0=None):
 
 
 def _fraction_relevant_vectors(L):
-    from tessella.linalg import dot, gram_schmidt, isqrt_floor, mat_inv, mat_vec
+    from tessella.linalg import dot, gram_schmidt, mat_inv, mat_vec
 
     bound_sq = sum(gram_schmidt(L.columns)[0], Fraction(0))
     Binv = mat_inv(L.basis)
     ranges = []
     for row in Binv:
         q = bound_sq * sum((x * x for x in row), Fraction(0))
-        m = isqrt_floor(q.numerator * q.denominator) // q.denominator
+        m = math.isqrt(q.numerator * q.denominator) // q.denominator
         ranges.append(range(-m, m + 1))
     candidates = []
     for z in product(*ranges):

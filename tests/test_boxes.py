@@ -134,25 +134,6 @@ def test_reduce_rational_lattice():
     assert uncovered * abs_det(red.frame) == Fraction(1, 2)
 
 
-def test_reduce_pieces_reconstruct_region():
-    # each reduced piece, shifted back by its tag, lands inside the region
-    R = FrameRegion(mat([[1, "1/3"], [0, 1]]),
-                    (make_box([0, 0], ["3/2", 1]),))
-    basis = mat([[1, "1/2"], [0, "1/2"]])
-    red = reduce_mod(R, basis)
-    total = Fraction(0)
-    for bx, shift in red.pieces:
-        total += box_volume(bx)
-        center = box_center(bx)
-        moved = [
-            c + sum(Fraction(red.cell_basis[i][j]) * shift[j]
-                    for j in range(2))
-            for i, c in enumerate(center)
-        ]
-        assert R.contains(mat_vec(red.frame, tuple(moved)))
-    assert total * abs_det(red.frame) == R.measure
-
-
 def abs_det(m):
     from tessella.linalg import det
 
@@ -254,6 +235,24 @@ def test_overlap_check_matches_all_pairs(boxes):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+@given(sheared_regions())
+def test_reduce_pieces_reconstruct_region(case):
+    # a piece lies in refined-frame coordinates and its tag counts cell_basis
+    # columns in ambient ones, so frame·center + cell_basis·shift is a point
+    # of the region
+    frame, boxes, basis = case
+    kept = [b for i, b in enumerate(boxes) if not any(boxes_overlap(b, c) for c in boxes[:i])]
+    R = FrameRegion(frame, tuple(kept))
+    red = reduce_mod(R, basis)
+    total = Fraction(0)
+    for bx, shift in red.pieces:
+        total += box_volume(bx)
+        moved = [x + sum(red.cell_basis[i][j] * shift[j] for j in range(len(shift)))
+                 for i, x in enumerate(mat_vec(red.frame, box_center(bx)))]
+        assert R.contains(moved)
+    assert total * abs_det(red.frame) == R.measure
 
 
 @settings(max_examples=150)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from tessella.dirichlet import dirichlet_domain
+from tessella.dirichlet import _lll, _relevant_vectors, dirichlet_domain
 from tessella.errors import DimensionTooLarge, InvalidInput
 from tessella.lattices import EucLattice, covolume
 from tessella.linalg import det, mat
@@ -49,6 +50,20 @@ def test_rhombic_dodecahedral_cell():
     assert cell.volume == 2
     assert len(cell.halfspaces) == 12
     assert len(cell.vertices) == 14
+
+
+def test_kept_vectors_are_the_facet_normals():
+    # Z^3 has 26 weakly relevant vectors, (1, 1, 0) and (1, 1, 1) among
+    # them, but 6 facets; FCC has 12 facets, and (2, 0, 0) is weakly
+    # relevant without being one
+    def signed_permutations(v):
+        return sorted({tuple(s * x for s, x in zip(signs, p))
+                       for p in permutations(v) for signs in product((1, -1), repeat=3)})
+
+    cube = _relevant_vectors(_lll([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert cube == signed_permutations((1, 0, 0))
+    fcc = _relevant_vectors(_lll([(1, 1, 0), (1, 0, 1), (0, 1, 1)]))
+    assert fcc == signed_permutations((1, 1, 0))
 
 
 def test_cell_is_shifted_with_base_point():

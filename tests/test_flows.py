@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tessella.errors import ConstructionFailed
-from tessella.flows import _blocks, lex_least_selection, select_and_deal
+from tessella.flows import joint_blocks, lex_least_selection, select_and_deal
 from tessella.lattices import EucLattice, _CellSystem, covolume
 
 from test_finite import cyclic_pair
@@ -204,7 +204,7 @@ def test_select_and_deal_rejects_fractional_extra():
 
 
 def assert_complete_uniform(left_of, right_of):
-    for block in _blocks(left_of, right_of):
+    for block in joint_blocks(left_of, right_of):
         pairs = Counter((left_of[e], right_of[e]) for e in block)
         p = len({left_of[e] for e in block})
         q = len({right_of[e] for e in block})

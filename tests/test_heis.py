@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tessella import heis
 from tessella.errors import (
     InvalidInput,
     NotMeasurePreserving,
@@ -206,6 +207,19 @@ def test_lattice_validity_criterion():
     assert not malcev_lattice_check(((1, 2), (2, 4)))
     with pytest.raises(InvalidInput):
         malcev_lattice_check(((1, 0, 0), (0, 1, 0)))
+
+
+def test_lattice_check_refuses_a_wrong_commutator(monkeypatch):
+    # a product that adds 1 to every central part keeps each probe product
+    # in the lattice but moves the commutator to (0, 0, 2 det A + 1); the
+    # check must say False, not raise AssertionError (gone under python -O)
+    def shifted_mul(g, h):
+        x1, x2, c = heis_mul(g, h).as_tuple()
+        return HeisPoint(x1, x2, c + 1)
+
+    monkeypatch.setattr(heis, "heis_mul", shifted_mul)
+    assert malcev_lattice_check(((1, 0), (0, 1))) is False
+    assert malcev_lattice_check(((1, 0), (0, "1/2"))) is False
 
 
 def test_invalid_planar_data_rejected_on_construction():

@@ -12,7 +12,6 @@ from tessella.linalg import (
     hnf,
     hnf_rational,
     identity,
-    isqrt_floor,
     mat,
     mat_inv,
     mat_mul,
@@ -168,21 +167,6 @@ def test_floor_frac():
 def test_floor_frac_bounds(x):
     k = floor_frac(x)
     assert k <= x < k + 1
-
-
-def test_isqrt_floor():
-    assert isqrt_floor(Fraction(0)) == 0
-    assert isqrt_floor(Fraction(24, 25)) == 0
-    assert isqrt_floor(Fraction(4)) == 2
-    assert isqrt_floor(Fraction(10, 3)) == 1
-    with pytest.raises(ValueError):
-        isqrt_floor(Fraction(-1))
-
-
-@given(st.fractions(min_value=0, max_value=10**6, max_denominator=1000))
-def test_isqrt_floor_bounds(x):
-    k = isqrt_floor(x)
-    assert k * k <= x < (k + 1) * (k + 1)
 
 
 def test_denominator_lcm():
