@@ -418,11 +418,7 @@ def _heis_mc_verify(payload, args):
         cand = psi_cell()
     else:
         raise InvalidInput("candidate must be 'cell' or 'psi'")
-    window = cand.bbox
-    if "window" in payload:
-        window = jsonio.parse_box(payload["window"])
-        if len(window) != 3:
-            raise InvalidInput("window must be a 3-dimensional box")
+    window = jsonio.parse_box(payload["window"]) if "window" in payload else cand.bbox
     rep = mc_verify_tiling(cand, HeisAction(side, L), window,
                            samples=args.samples, seed=args.seed)
     ok = rep.all_multiplicity_one()

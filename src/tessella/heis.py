@@ -9,14 +9,23 @@ tiling verification, and word-metric ball growth of the integer points.
 
 A lattice acts on the left (g -> gamma g) or on the right (g -> g gamma),
 by one code path: the side only flips the sign of the central cross term
-(`_residue`) and the order of the quotient (`_quotient`).
+(`_residue`) and the order of the products.
+
+The per-point kernels (cell reductions, lattice membership, the cell and
+psi predicates, and the Monte Carlo translate count) run on Python ints:
+a point is put on one scale S that is a multiple of the lattice's
+denominator lcm a and of its own denominators, as the integer triple
+(S x, S^2 c), and the frame coordinates A^-1 x are integer numerators
+over one denominator. Fractions appear only at the edges: the sampler's
+output, the HeisPoints handed to a candidate's predicates, and the
+returned Reduction and MCReport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, log
+from math import lcm, log
 from typing import Callable, Optional
 
 from .boxes import Box
@@ -27,7 +36,7 @@ from .errors import (
     TooLarge,
     WindowTooSmall,
 )
-from .linalg import Mat, det, floor_frac, frac, integer_ranges, mat, mat_inv, mat_mul, mat_vec
+from .linalg import Mat, denominator_lcm, det, floor_frac, frac, mat, mat_mul, mat_vec
 from .sampling import DyadicSampler
 
 
@@ -188,23 +197,33 @@ class HeisLattice:
     which is closed under the product exactly when 2 det A is an integer
     (the product picks up a 2 n2 m1 det A central correction); det A = 0
     would collapse the planar rank. Hence det A must be a nonzero
-    half-integer. det A and A^-1 are computed once, here, for the
-    per-point reductions and membership tests.
+    half-integer. The integer form used by the per-point kernels is
+    computed once, here: a = lcm of the denominators of A, A_int = a A,
+    det_int = det A_int and adj_int = adj(A_int), so that
+    A^-1 = a adj_int / det_int.
     """
 
     A: Mat
     planar_det: Fraction = field(init=False, repr=False, compare=False)
-    A_inv: Mat = field(init=False, repr=False, compare=False)
+    int_scale: int = field(init=False, repr=False, compare=False)
+    A_int: tuple = field(init=False, repr=False, compare=False)
+    det_int: int = field(init=False, repr=False, compare=False)
+    adj_int: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _planar_matrix(self.A, "lattice")
-        d = det(A)
+        a = denominator_lcm(x for row in A for x in row)
+        (p, q), (r, s) = ((int(x * a) for x in row) for row in A)
+        d = Fraction(p * s - q * r, a * a)
         if d == 0 or (2 * d).denominator != 1:
             raise InvalidInput(
                 f"determinant {d} is not a nonzero half-integer")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "planar_det", d)
-        object.__setattr__(self, "A_inv", mat_inv(A))
+        object.__setattr__(self, "int_scale", a)
+        object.__setattr__(self, "A_int", ((p, q), (r, s)))
+        object.__setattr__(self, "det_int", p * s - q * r)
+        object.__setattr__(self, "adj_int", ((s, -q), (-r, p)))
 
     @classmethod
     def standard(cls) -> "HeisLattice":
@@ -218,20 +237,68 @@ class HeisLattice:
 
     def exponents(self, g: HeisPoint) -> Optional[tuple[int, int, int]]:
         """Inverse of element(), or None when g is not in the lattice."""
-        t = mat_vec(self.A_inv, (g.x1, g.x2))
-        if any(x.denominator != 1 for x in t):
+        S, (X0, X1, C) = _scaled(self, g.as_tuple())
+        N0, N1, D = _frame(self, X0, X1, S)
+        if N0 % D or N1 % D:
             return None
-        n1, n2 = int(t[0]), int(t[1])
-        n3 = g.c - n1 * n2 * self.planar_det
-        if n3.denominator != 1:
-            return None
-        return (n1, n2, int(n3))
+        n1, n2 = N0 // D, N1 // D
+        n3, rest = divmod(C - _generator(self, S, n1, n2)[2], S * S)
+        return None if rest else (n1, n2, n3)
 
     def contains(self, g: HeisPoint) -> bool:
         return self.exponents(g) is not None
 
     def generators(self) -> tuple[HeisPoint, HeisPoint, HeisPoint]:
         return (self.element(1, 0, 0), self.element(0, 1, 0), self.element(0, 0, 1))
+
+
+# The per-point kernels run on one integer scale per point: with S a
+# multiple of a and of the point's denominators, (x, c) is the integer
+# triple (S x, S^2 c). On triples of one scale the group law is heis_mul's
+# formula unchanged, because the cross term of two S-scaled planar parts
+# carries S^2.
+
+
+def _scaled(L: HeisLattice, g) -> tuple[int, tuple[int, int, int]]:
+    """(S, (S x1, S x2, S^2 c)) for g = (x1, x2, c), with
+    S = lcm(a, den x1, den x2, den c)."""
+    x1, x2, c = g
+    S = lcm(L.int_scale, x1.denominator, x2.denominator, c.denominator)
+    return S, (x1.numerator * (S // x1.denominator),
+               x2.numerator * (S // x2.denominator),
+               c.numerator * (S * S // c.denominator))
+
+
+def _unscaled(S: int, v: tuple[int, int, int]) -> HeisPoint:
+    return HeisPoint(Fraction(v[0], S), Fraction(v[1], S), Fraction(v[2], S * S))
+
+
+def _mul_scaled(g: tuple[int, int, int], h: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1] - g[1] * h[0])
+
+
+def _frame(L: HeisLattice, X0: int, X1: int, S: int) -> tuple[int, int, int]:
+    """Frame coordinates t = A^-1 X / S as integer numerators (N0, N1)
+    over one positive denominator D: t = a adj_int X / (det_int S)."""
+    (p, q), (r, s) = L.adj_int
+    a, D = L.int_scale, L.det_int * S
+    if D < 0:
+        a, D = -a, -D
+    return a * (p * X0 + q * X1), a * (r * X0 + s * X1), D
+
+
+def _generator(L: HeisLattice, S: int, n1: int, n2: int, n3: int = 0) -> tuple[int, int, int]:
+    """Y1^n1 Y2^n2 X3^n3 on scale S: (S A n, S^2 (n1 n2 det A + n3)),
+    with S A = (S / a) A_int."""
+    k = S // L.int_scale
+    (p, q), (r, s) = L.A_int
+    return (k * (p * n1 + q * n2), k * (r * n1 + s * n2),
+            k * k * n1 * n2 * L.det_int + n3 * S * S)
+
+
+def _in_cell(L: HeisLattice, S: int, v: tuple[int, int, int]) -> bool:
+    N0, N1, D = _frame(L, v[0], v[1], S)
+    return 0 <= N0 < D and 0 <= N1 < D and 0 <= v[2] < S * S
 
 
 def malcev_lattice_check(A) -> bool:
@@ -282,8 +349,7 @@ class Reduction:
 
 def cell_contains(L: HeisLattice, g: HeisPoint) -> bool:
     """The reduction cell { (A t', t3) : t in [0,1)^3 }, half-open."""
-    t = mat_vec(L.A_inv, (g.x1, g.x2))
-    return all(0 <= x < 1 for x in t) and 0 <= g.c < 1
+    return _in_cell(L, *_scaled(L, g.as_tuple()))
 
 
 def cell_bbox(L: HeisLattice) -> Box:
@@ -297,34 +363,28 @@ def cell_bbox(L: HeisLattice) -> Box:
 
 
 def _cell_boundary(L: HeisLattice, g: HeisPoint) -> bool:
-    t = mat_vec(L.A_inv, (g.x1, g.x2))
-    coords = (t[0], t[1], g.c)
-    return any(x == 0 or x == 1 for x in coords)
+    S, (X0, X1, C) = _scaled(L, g.as_tuple())
+    N0, N1, D = _frame(L, X0, X1, S)
+    return N0 in (0, D) or N1 in (0, D) or C in (0, S * S)
 
 
-def _planar_split(L: HeisLattice, g: HeisPoint):
-    """n = floor of the planar frame coordinates, plus the split x = p + q
-    with p = A n the generator part and q the in-cell part."""
-    t = mat_vec(L.A_inv, (g.x1, g.x2))
-    n1, n2 = floor_frac(t[0]), floor_frac(t[1])
-    p = mat_vec(L.A, (Fraction(n1), Fraction(n2)))
-    q = (g.x1 - p[0], g.x2 - p[1])
-    return n1, n2, p, q
+def _planar_split(L: HeisLattice, z: tuple[int, tuple[int, int, int]]):
+    """n = floor of the planar frame coordinates of the scaled point
+    z = (S, (X0, X1, C)), plus the split X = P + Q with P = S A n the
+    generator part and Q the in-cell part."""
+    S, (X0, X1, _) = z
+    N0, N1, D = _frame(L, X0, X1, S)
+    n1, n2 = N0 // D, N1 // D
+    P = _generator(L, S, n1, n2)[:2]
+    return n1, n2, P, (X0 - P[0], X1 - P[1])
 
 
-def _residue(side: str, c: Fraction, p, q) -> Fraction:
-    """Central residue s = c - p x q (left) or c + p x q (right) of a point
-    with planar part p + q, once the generator part p is taken off on that
-    side; n3 is then floor(s - n1 n2 det A)."""
-    cross = p[0] * q[1] - p[1] * q[0]
-    return c - cross if side == "left" else c + cross
-
-
-def _quotient(side: str, g: HeisPoint, gamma: HeisPoint) -> HeisPoint:
-    """gamma^-1 g on the left, g gamma^-1 on the right."""
-    if side == "left":
-        return heis_mul(heis_inv(gamma), g)
-    return heis_mul(g, heis_inv(gamma))
+def _residue(side: str, C: int, P, Q) -> int:
+    """Central residue C - P x Q (left) or C + P x Q (right) of a point
+    with planar part P + Q, once the generator part P is taken off on that
+    side; n3 is then floor((residue - S^2 n1 n2 det A) / S^2)."""
+    cross = P[0] * Q[1] - P[1] * Q[0]
+    return C - cross if side == "left" else C + cross
 
 
 def _reduce(g: HeisPoint, L: HeisLattice, side: str) -> Reduction:
@@ -332,19 +392,31 @@ def _reduce(g: HeisPoint, L: HeisLattice, side: str) -> Reduction:
     part off leaves the central residue s, and n3 = floor(s - n1 n2 det A)
     puts the remainder in [0, 1). Existence and uniqueness of the
     decomposition is exactly this computation run forward and backward.
-    Before return, omega is checked to lie in the cell and the product of
-    gamma and omega, in the side's order, to give back g
-    (ConstructionFailed otherwise)."""
-    n1, n2, p, q = _planar_split(L, g)
-    n3 = floor_frac(_residue(side, g.c, p, q) - n1 * n2 * L.planar_det)
-    gamma = L.element(n1, n2, n3)
-    omega = _quotient(side, g, gamma)
-    product = heis_mul(gamma, omega) if side == "left" else heis_mul(omega, gamma)
-    if not cell_contains(L, omega) or product != g:
+
+    Everything runs on the integer triples of g's scale (`_scaled`).
+    Before return, gamma is rebuilt from the exponents, and omega =
+    gamma^-1 g (left) or g gamma^-1 (right) is checked to lie in the cell
+    and to give back g as the product in the side's order
+    (ConstructionFailed otherwise). The check covers the integer
+    computation, not the exact division back to the returned Fractions;
+    the tests pin that against an all-Fraction reference."""
+    z = _scaled(L, g.as_tuple())
+    S, point = z
+    n1, n2, P, Q = _planar_split(L, z)
+    n3 = (_residue(side, point[2], P, Q) - _generator(L, S, n1, n2)[2]) // (S * S)
+    gamma = _generator(L, S, n1, n2, n3)
+    inv = (-gamma[0], -gamma[1], -gamma[2])
+    if side == "left":
+        omega = _mul_scaled(inv, point)
+        product = _mul_scaled(gamma, omega)
+    else:
+        omega = _mul_scaled(point, inv)
+        product = _mul_scaled(omega, gamma)
+    if not _in_cell(L, S, omega) or product != point:
         raise ConstructionFailed(
             "the reduction does not put the point into the cell",
-            {"point": list(g.as_tuple()), "omega": list(omega.as_tuple())})
-    return Reduction(gamma, (n1, n2, n3), omega)
+            {"point": list(g.as_tuple()), "omega": list(_unscaled(S, omega).as_tuple())})
+    return Reduction(_unscaled(S, gamma), (n1, n2, n3), _unscaled(S, omega))
 
 
 def reduce_left(g: HeisPoint, L: HeisLattice) -> Reduction:
@@ -376,17 +448,28 @@ def malcev_cell(L: HeisLattice) -> CandidateDomain:
     )
 
 
+def _psi_t3(g: HeisPoint) -> tuple[int, int]:
+    """The inverse-chart coordinate t3 = c - 2 x1 x2 as a numerator over
+    the positive denominator den(c) den(x1) den(x2)."""
+    x1, x2, c = g.x1, g.x2, g.c
+    d12 = x1.denominator * x2.denominator
+    return (c.numerator * d12 - 2 * x1.numerator * x2.numerator * c.denominator,
+            c.denominator * d12)
+
+
 def psi_cell() -> CandidateDomain:
     """The heis_exp image of the unit cube; membership via the inverse
     chart t3 = c - 2 x1 x2."""
 
     def inside(g: HeisPoint) -> bool:
-        t3 = g.c - 2 * g.x1 * g.x2
-        return 0 <= g.x1 < 1 and 0 <= g.x2 < 1 and 0 <= t3 < 1
+        n, d = _psi_t3(g)
+        return (0 <= g.x1.numerator < g.x1.denominator
+                and 0 <= g.x2.numerator < g.x2.denominator and 0 <= n < d)
 
     def on_face(g: HeisPoint) -> bool:
-        t3 = g.c - 2 * g.x1 * g.x2
-        return any(x == 0 or x == 1 for x in (g.x1, g.x2, t3))
+        n, d = _psi_t3(g)
+        return (g.x1.numerator in (0, g.x1.denominator)
+                or g.x2.numerator in (0, g.x2.denominator) or n in (0, d))
 
     return CandidateDomain(
         contains=inside,
@@ -417,37 +500,70 @@ class MCReport:
         return self.histogram == {1: self.samples}
 
 
-def _count_translates(
-    z: HeisPoint, candidate: CandidateDomain, action: HeisAction
-) -> tuple[int, bool]:
-    """Exact multiplicity of z among the translates of the candidate.
+# Translate tests per request: samples times the per-sample bound of
+# `_translate_counter`. Five times the largest request in the tests,
+# demos and benchmark (10 000 samples of the psi cell against the integer
+# points, 16 tests a sample); see the README for the time it takes.
+MAX_TRANSLATE_TESTS = 800_000
 
-    Only finitely many gamma can carry z into the bounding box: the
-    planar part pins n1, n2 to an interval box (via the inverse planar
-    data), and for each planar choice the central box interval pins n3
-    through the same residue as the reductions. Every surviving gamma is
-    tested by exact membership.
+
+def _translate_counter(candidate: CandidateDomain, action: HeisAction):
+    """(bound, count): count(z) is the exact multiplicity of the sample
+    z = (x1, x2, c) among the translates of the candidate, with a flag for
+    a translate on the candidate's boundary; bound is the number of
+    translates it tests at most.
+
+    Only finitely many gamma can carry z into the bounding box B: the
+    planar exponents n of gamma lie in A^-1 (x - B) = t - A^-1 B with
+    t = A^-1 x, and A^-1 B lies in an interval box [lo, hi] fixed per
+    call, so n_i ranges over the integers of [t_i - hi_i, t_i - lo_i].
+    For each planar choice the central box interval pins n3 through the
+    same residue as the reductions. Each sample is put on one scale S
+    (`_scaled`); the ranges, the residue and the translate are computed in
+    ints, and every surviving translate is tested by exact membership as
+    a HeisPoint.
     """
-    L = action.lattice
-    side = action.side
+    L, side = action.lattice, action.side
     (blo1, bhi1), (blo2, bhi2), (blo3, bhi3) = candidate.bbox
-    r1, r2 = integer_ranges(L.A_inv, (z.x1 - bhi1, z.x2 - bhi2), (z.x1 - blo1, z.x2 - blo2))
-    count = 0
-    tainted = False
-    for n1 in r1:
-        for n2 in r2:
-            p = mat_vec(L.A, (Fraction(n1), Fraction(n2)))
-            q = (z.x1 - p[0], z.x2 - p[1])
-            # gamma = L.element(n1, n2, n3) = (p, c0 + n3), built from p here
-            c0 = n1 * n2 * L.planar_det
-            e = _residue(side, z.c, p, q) - c0
-            for n3 in range(ceil(e - bhi3), floor_frac(e - blo3) + 1):
-                w = _quotient(side, z, HeisPoint(p[0], p[1], c0 + n3))
-                if candidate.boundary is not None and candidate.boundary(w):
-                    tainted = True
-                if candidate.contains(w):
-                    count += 1
-    return count, tainted
+    lo, hi = [], []
+    for row in L.adj_int:  # row i of A^-1 = a adj(A_int) / det_int
+        ends = [sorted((m * b, m * e)) for m, b, e in zip(
+            (Fraction(L.int_scale * x, L.det_int) for x in row), (blo1, blo2), (bhi1, bhi2))]
+        lo.append(ends[0][0] + ends[1][0])
+        hi.append(ends[0][1] + ends[1][1])
+    bound = floor_frac(bhi3 - blo3) + 1
+    for a, b in zip(lo, hi):
+        bound *= floor_frac(b - a) + 1
+    # every interval end over one denominator H (planar) or H3 (central)
+    H = denominator_lcm(lo + hi)
+    (lo1, lo2), (hi1, hi2) = ([int(x * H) for x in v] for v in (lo, hi))
+    H3 = denominator_lcm((blo3, bhi3))
+    lo3, hi3 = int(blo3 * H3), int(bhi3 * H3)
+    boundary, contains = candidate.boundary, candidate.contains
+
+    def count(z) -> tuple[int, bool]:
+        S, (X0, X1, C) = _scaled(L, z)
+        S2 = S * S
+        N0, N1, D = _frame(L, X0, X1, S)
+        DH, S2H = D * H, S2 * H3
+        n = 0
+        tainted = False
+        # n_i from ceil(t_i - hi_i) to floor(t_i - lo_i), t_i = N_i / D
+        for n1 in range(-((hi1 * D - N0 * H) // DH), (N0 * H - lo1 * D) // DH + 1):
+            for n2 in range(-((hi2 * D - N1 * H) // DH), (N1 * H - lo2 * D) // DH + 1):
+                G = _generator(L, S, n1, n2)
+                Q = (X0 - G[0], X1 - G[1])
+                e = _residue(side, C, G, Q) - G[2]
+                q1, q2 = Fraction(Q[0], S), Fraction(Q[1], S)
+                for n3 in range(-((hi3 * S2 - e * H3) // S2H), (e * H3 - lo3 * S2) // S2H + 1):
+                    w = HeisPoint(q1, q2, Fraction(e - n3 * S2, S2))
+                    if boundary is not None and boundary(w):
+                        tainted = True
+                    if contains(w):
+                        n += 1
+        return n, tainted
+
+    return bound, count
 
 
 def mc_verify_tiling(
@@ -461,25 +577,41 @@ def mc_verify_tiling(
     family. Tiling evidence is histogram == {1: samples}; a packing shows
     only multiplicities 0 and 1.
 
-    The window must contain the candidate's bounding box, so the samples
-    probe the candidate region itself and not just empty space. Samples
-    whose translates land on the candidate's boundary faces are
-    resampled (bounded retries), keeping the histogram seed-determined.
+    The window must be 3 intervals containing the candidate's bounding
+    box, so the samples probe the candidate region itself and not just
+    empty space. Samples whose translates land on the candidate's
+    boundary faces are resampled (bounded retries), keeping the histogram
+    seed-determined. A request that would test more than
+    MAX_TRANSLATE_TESTS translates (samples times the per-sample bound)
+    raises TooLarge before the first draw; resampled draws, which need a
+    translate exactly on a face, are not counted against it.
     """
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise InvalidInput("samples must be an integer")
     if samples <= 0:
         raise InvalidInput("samples must be positive")
+    try:
+        window = tuple((frac(lo), frac(hi)) for lo, hi in window)
+    except (TypeError, ValueError):
+        window = None
+    if window is None or len(window) != 3:
+        raise InvalidInput("window must be 3 intervals (lo, hi)")
     for (wlo, whi), (blo, bhi) in zip(window, candidate.bbox):
         if wlo > blo or whi < bhi:
             raise WindowTooSmall(
                 "window must contain the candidate's bounding box")
+    bound, count_translates = _translate_counter(candidate, action)
+    if samples * bound > MAX_TRANSLATE_TESTS:
+        raise TooLarge(
+            f"{samples} samples of up to {bound} translate tests each exceed "
+            f"the budget of {MAX_TRANSLATE_TESTS}")
     sampler = DyadicSampler(seed)
     hist: dict[int, int] = {}
     produced = 0
     resampled = 0
     budget = 64 * samples
     while produced < samples:
-        z = HeisPoint(*sampler.in_box(window))
-        count, tainted = _count_translates(z, candidate, action)
+        count, tainted = count_translates(sampler.in_box(window))
         if tainted and resampled < budget:
             resampled += 1
             continue
@@ -540,8 +672,18 @@ def growth_exponent_estimate(sizes: list[int]) -> float:
         raise InvalidInput("need at least two radii to estimate a slope")
     xs = [log(n) for n in ns]
     ys = [log(sizes[n]) for n in ns]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
+    mx = _float_sum(xs) / len(xs)
+    my = _float_sum(ys) / len(ys)
+    num = _float_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    den = _float_sum((x - mx) ** 2 for x in xs)
     return num / den
+
+
+def _float_sum(xs) -> float:
+    """Plain left-to-right sum. The builtin sum() compensates rounding
+    since Python 3.12, so it would print a different last digit of the
+    estimate on different supported versions."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total

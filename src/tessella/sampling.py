@@ -1,9 +1,11 @@
 """Seeded rational point sampling for the Monte Carlo verifiers.
 
-Samples are dyadic rationals (53 random bits over 2^53), so every sample
-is exact and every downstream membership test is decided by rational
-arithmetic, never by float comparison. A fixed seed reproduces the exact
-sample stream, which makes verification reports byte-identical.
+Samples are dyadic rationals (53 random bits over 2^53, shifted and
+scaled into the requested interval), so every sample is exact. Downstream
+membership tests put each sample on a common integer scale (a multiple of
+its denominators) and decide by exact integer arithmetic, never by float
+comparison. A fixed seed reproduces the exact sample stream, which makes
+verification reports byte-identical.
 """
 
 from __future__ import annotations

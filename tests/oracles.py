@@ -279,6 +279,133 @@ def ball_sizes_via_matrices(n_max):
     return sizes
 
 
+# ---------------------------------------------------- Heisenberg kernels
+# The Fraction forms of the per-point kernels that `tessella.heis` runs on
+# scaled integers: frame coordinates by A^-1 as a Fraction matrix, the
+# reduction and the translate count as the group law on HeisPoints.
+
+
+def _fraction_frame(L, g):
+    from tessella.linalg import mat_inv, mat_vec
+
+    return mat_vec(mat_inv(L.A), (g.x1, g.x2))
+
+
+def fraction_cell_contains(L, g):
+    t = _fraction_frame(L, g)
+    return all(0 <= x < 1 for x in t) and 0 <= g.c < 1
+
+
+def fraction_cell_boundary(L, g):
+    t = _fraction_frame(L, g)
+    return any(x == 0 or x == 1 for x in (t[0], t[1], g.c))
+
+
+def fraction_psi_contains(g):
+    t3 = g.c - 2 * g.x1 * g.x2
+    return 0 <= g.x1 < 1 and 0 <= g.x2 < 1 and 0 <= t3 < 1
+
+
+def fraction_psi_boundary(g):
+    t3 = g.c - 2 * g.x1 * g.x2
+    return any(x == 0 or x == 1 for x in (g.x1, g.x2, t3))
+
+
+def fraction_malcev_cell(L):
+    from tessella.heis import CandidateDomain, cell_bbox
+
+    return CandidateDomain(lambda g: fraction_cell_contains(L, g), cell_bbox(L),
+                           lambda g: fraction_cell_boundary(L, g))
+
+
+def fraction_psi_cell():
+    from tessella.heis import CandidateDomain, psi_cell
+
+    return CandidateDomain(fraction_psi_contains, psi_cell().bbox, fraction_psi_boundary)
+
+
+def _fraction_gamma(L, n1, n2, n3):
+    from tessella.heis import HeisPoint
+    from tessella.linalg import det, mat_vec
+
+    p = mat_vec(L.A, (Fraction(n1), Fraction(n2)))
+    return HeisPoint(p[0], p[1], n1 * n2 * det(L.A) + n3)
+
+
+def _fraction_quotient(side, g, gamma):
+    from tessella.heis import heis_inv, heis_mul
+
+    if side == "left":
+        return heis_mul(heis_inv(gamma), g)
+    return heis_mul(g, heis_inv(gamma))
+
+
+def _fraction_residue(side, c, p, q):
+    cross = p[0] * q[1] - p[1] * q[0]
+    return c - cross if side == "left" else c + cross
+
+
+def fraction_reduce(g, L, side):
+    """The Reduction of g on `side`: n1, n2 by flooring the frame
+    coordinates, n3 by flooring the central residue."""
+    from tessella.heis import Reduction
+    from tessella.linalg import det, mat_vec
+
+    t = _fraction_frame(L, g)
+    n1, n2 = math.floor(t[0]), math.floor(t[1])
+    p = mat_vec(L.A, (Fraction(n1), Fraction(n2)))
+    q = (g.x1 - p[0], g.x2 - p[1])
+    n3 = math.floor(_fraction_residue(side, g.c, p, q) - n1 * n2 * det(L.A))
+    gamma = _fraction_gamma(L, n1, n2, n3)
+    return Reduction(gamma, (n1, n2, n3), _fraction_quotient(side, g, gamma))
+
+
+def fraction_count_translates(z, candidate, action):
+    """(multiplicity of z among the candidate's translates, whether one of
+    them lies on the candidate's boundary), with the translate ranges by
+    interval arithmetic on A^-1 (z - bbox) for every sample."""
+    from tessella.heis import HeisPoint
+    from tessella.linalg import det, integer_ranges, mat_inv, mat_vec
+
+    L, side = action.lattice, action.side
+    (blo1, bhi1), (blo2, bhi2), (blo3, bhi3) = candidate.bbox
+    r1, r2 = integer_ranges(mat_inv(L.A), (z.x1 - bhi1, z.x2 - bhi2),
+                            (z.x1 - blo1, z.x2 - blo2))
+    count, tainted = 0, False
+    for n1 in r1:
+        for n2 in r2:
+            p = mat_vec(L.A, (Fraction(n1), Fraction(n2)))
+            q = (z.x1 - p[0], z.x2 - p[1])
+            c0 = n1 * n2 * det(L.A)
+            e = _fraction_residue(side, z.c, p, q) - c0
+            for n3 in range(math.ceil(e - bhi3), math.floor(e - blo3) + 1):
+                w = _fraction_quotient(side, z, HeisPoint(p[0], p[1], c0 + n3))
+                if candidate.boundary is not None and candidate.boundary(w):
+                    tainted = True
+                if candidate.contains(w):
+                    count += 1
+    return count, tainted
+
+
+def fraction_mc_verify_tiling(candidate, action, window, samples, seed):
+    """The seeded Monte Carlo report over `fraction_count_translates`, with
+    the same sample stream and resampling rule as the library."""
+    from tessella.heis import HeisPoint, MCReport
+    from tessella.sampling import DyadicSampler
+
+    sampler = DyadicSampler(seed)
+    hist, produced, resampled = {}, 0, 0
+    while produced < samples:
+        z = HeisPoint(*sampler.in_box(window))
+        count, tainted = fraction_count_translates(z, candidate, action)
+        if tainted and resampled < 64 * samples:
+            resampled += 1
+            continue
+        hist[count] = hist.get(count, 0) + 1
+        produced += 1
+    return MCReport(dict(sorted(hist.items())), samples, seed, resampled)
+
+
 # ------------------------------------------------------------ box regions
 # The all-pairs overlap scan and the Fraction cut-and-translate that
 # `tessella.boxes` replaced with integer grids; kept as references.

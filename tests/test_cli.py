@@ -271,6 +271,12 @@ MALFORMED = {
     "region-empty": ("boundary", "boundary_cubes.json", ("regions",),
                      [{"frame": [["1", "0"], ["0", "1"]], "boxes": []}],
                      "boundary regions must have positive measure"),
+    "window-2-axes": ("heis mc-verify", "heis_psi_cell.json", ("window",),
+                      {"lo": ["0", "0"], "hi": ["1", "3"]},
+                      "window must be 3 intervals (lo, hi)"),
+    "window-4-axes": ("heis mc-verify", "heis_psi_cell.json", ("window",),
+                      {"lo": ["0", "0", "0", "0"], "hi": ["1", "1", "3", "1"]},
+                      "window must be 3 intervals (lo, hi)"),
 }
 
 
@@ -392,3 +398,21 @@ def test_common_fd_svg_only_for_euclidean_pairs(kind, tmp_path, capsys):
     assert captured.out == ""
     assert f"not {kind} instances" in captured.err
     assert not out.exists() and not (tmp_path / "ts_out.svg").exists()
+
+
+def test_mc_verify_over_the_translate_budget_exits_4(tmp_path, capsys):
+    # psi against a thin lattice tests 5001 x 1 x 4 translates a sample
+    doc = {"schema": "tessella-heisenberg/1",
+           "lattice": {"A": [["1/5000", "0"], ["0", "5000"]]},
+           "side": "right", "candidate": "psi"}
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.monotonic()
+    code = main(["heis", "mc-verify", str(path), "--samples", "2000"])
+    elapsed = time.monotonic() - t0
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("error: 2000 samples of up to 20004 translate tests "
+                            "each exceed the budget of 800000\n")
+    assert elapsed < 1.0

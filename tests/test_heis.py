@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tessella import heis
 from tessella.errors import (
@@ -10,6 +12,8 @@ from tessella.errors import (
     TooLarge,
     WindowTooSmall,
 )
+from tessella.linalg import mat_vec
+from tessella.sampling import DyadicSampler
 from tessella.heis import (
     HEIS_IDENTITY,
     CandidateDomain,
@@ -380,6 +384,147 @@ def test_wider_window_sees_zeros():
                            samples=200, seed=11)
     # translates still tile all of space, so multiplicity stays one
     assert rep.histogram == {1: 200}
+
+
+# ------------------------------------ integer kernels against Fractions
+
+
+@st.composite
+def heis_lattices(draw):
+    """diag(d / s, s) times an upper shear, rows possibly swapped, with a
+    half-integer determinant of either sign; denominators up to 7."""
+    d = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1),
+                              Fraction(-1), Fraction(3, 2), Fraction(-2)]))
+    s = draw(st.builds(Fraction, st.integers(1, 7), st.integers(1, 7)))
+    h = draw(st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7)))
+    rows = [[d / s, d / s * h], [Fraction(0), s]]
+    return HeisLattice(rows[::-1] if draw(st.booleans()) else rows)
+
+
+sides = st.sampled_from(["left", "right"])
+# faces at t = 0 and t = 1 and rationals inside and outside [0, 1)
+unit_coords = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
+                        st.fractions(-2, 3, max_denominator=12))
+
+
+def _faces(cand, kind, cut=False):
+    """The candidate with its exact faces, with thick faces (so that
+    samples get resampled), or with no boundary predicate; with `cut`,
+    only its part below c = 1/2, so that the histogram also depends on
+    the central coordinate of each translate."""
+    contains = (lambda g: cand.contains(g) and 2 * g.c < 1) if cut else cand.contains
+    if kind == "exact":
+        return CandidateDomain(contains, cand.bbox, cand.boundary)
+    thick = (lambda g: 4 * g.x1 < 1 or 4 * g.c < 1) if kind == "thick" else None
+    return CandidateDomain(contains, cand.bbox, thick)
+
+
+@given(heis_lattices(), sides, st.sampled_from(["cell", "psi"]),
+       st.sampled_from(["exact", "thick", "none"]), st.booleans(),
+       st.lists(st.builds(Fraction, st.integers(0, 2), st.integers(1, 4)),
+                min_size=6, max_size=6),
+       st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_mc_report_equals_fraction_reference(L, side, which, faces, cut, margins,
+                                             samples, seed):
+    if which == "cell":
+        cand, ref = malcev_cell(L), oracles.fraction_malcev_cell(L)
+    else:
+        cand, ref = psi_cell(), oracles.fraction_psi_cell()
+    cand, ref = _faces(cand, faces, cut), _faces(ref, faces, cut)
+    window = tuple((lo - margins[2 * i], hi + margins[2 * i + 1])
+                   for i, (lo, hi) in enumerate(cand.bbox))
+    action = HeisAction(side, L)
+    got = mc_verify_tiling(cand, action, window, samples, seed)
+    want = oracles.fraction_mc_verify_tiling(ref, action, window, samples, seed)
+    assert got.histogram == want.histogram
+    assert got.samples == want.samples
+    assert got.seed == want.seed
+    assert got.resampled == want.resampled
+
+
+def test_thick_faces_resample():
+    L = HeisLattice.standard()
+    cand = _faces(malcev_cell(L), "thick")
+    rep = mc_verify_tiling(cand, HeisAction("left", L), cand.bbox, 40, 3)
+    assert rep.resampled > 0
+    assert rep == oracles.fraction_mc_verify_tiling(
+        _faces(oracles.fraction_malcev_cell(L), "thick"), HeisAction("left", L),
+        cand.bbox, 40, 3)
+
+
+@given(heis_lattices(), sides,
+       st.tuples(*[st.fractions(-50, 50, max_denominator=1000)] * 3))
+def test_reduction_equals_fraction_reference(L, side, xs):
+    g = HeisPoint(*xs)
+    got = (reduce_left if side == "left" else reduce_right)(g, L)
+    want = oracles.fraction_reduce(g, L, side)
+    assert got.gamma == want.gamma
+    assert got.exponents == want.exponents
+    assert got.omega == want.omega
+    assert L.exponents(got.gamma) == got.exponents
+
+
+@given(heis_lattices(), unit_coords, unit_coords, unit_coords)
+def test_cell_predicates_equal_fraction_forms(L, t1, t2, t3):
+    x = mat_vec(L.A, (t1, t2))
+    g = HeisPoint(x[0], x[1], t3)
+    assert cell_contains(L, g) == oracles.fraction_cell_contains(L, g)
+    assert heis._cell_boundary(L, g) == oracles.fraction_cell_boundary(L, g)
+    in_lattice = (t1.denominator == 1 and t2.denominator == 1
+                  and (t3 - t1 * t2 * L.planar_det).denominator == 1)
+    assert L.contains(g) == in_lattice
+    # the psi chart: x = (t1, t2), c = t3 + 2 t1 t2
+    h = HeisPoint(t1, t2, t3 + 2 * t1 * t2)
+    cand = psi_cell()
+    assert cand.contains(h) == oracles.fraction_psi_contains(h)
+    assert cand.boundary(h) == oracles.fraction_psi_boundary(h)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def draw(self, box):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(DyadicSampler, "in_box", draw)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "10", None])
+def test_samples_must_be_an_integer(samples, no_draws):
+    L = HeisLattice.standard()
+    cand = malcev_cell(L)
+    with pytest.raises(InvalidInput, match="samples must be an integer"):
+        mc_verify_tiling(cand, HeisAction("left", L), cand.bbox, samples, 0)
+
+
+@pytest.mark.parametrize("window", [
+    ((0, 1), (0, 1)),
+    ((0, 1), (0, 1), (0, 1), (0, 1)),
+    ((0, 1), (0, 1), (0, 1, 2)),
+    5,
+])
+def test_window_must_be_three_intervals(window, no_draws):
+    L = HeisLattice.standard()
+    cand = malcev_cell(L)
+    with pytest.raises(InvalidInput, match="window must be 3 intervals"):
+        mc_verify_tiling(cand, HeisAction("left", L), window, 10, 0)
+
+
+def test_thin_lattice_is_refused_before_sampling(no_draws):
+    L = HeisLattice(((Fraction(1, 5000), 0), (0, 5000)))
+    cand = psi_cell()
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge, match="budget of 800000"):
+        mc_verify_tiling(cand, HeisAction("right", L), cand.bbox, 2000, 0)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_translate_budget_is_samples_times_the_per_sample_bound(monkeypatch):
+    # psi against the integer points: 2 x 2 x 4 = 16 translate tests a sample
+    monkeypatch.setattr(heis, "MAX_TRANSLATE_TESTS", 160)
+    cand = psi_cell()
+    action = HeisAction("right", HeisLattice.standard())
+    assert mc_verify_tiling(cand, action, cand.bbox, 10, 0).histogram == {1: 10}
+    with pytest.raises(TooLarge):
+        mc_verify_tiling(cand, action, cand.bbox, 11, 0)
 
 
 def test_cube_chart_image_tiles_on_the_right():
