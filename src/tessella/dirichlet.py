@@ -6,10 +6,10 @@ produced exactly: the facet half-spaces and the vertex list, plus the
 exact volume (a cone decomposition from x0).
 
 Integer scaling. With D the lcm of the basis denominators, D·L is an
-integer lattice; work in the coordinates y = D·x and write the base
-point as D·x0 = Y/E with Y integral. The bisector of a lattice vector
-v = w/D, v·x <= v·x0 + |v|^2/2, is then w·y <= c/(2E) with the integer
-c = 2 w·Y + E|w|^2. Vertices are solved by Cramer's rule from integer
+integer lattice (`EucLattice`'s integer form); work in the coordinates
+y = D·x and write the base point as D·x0 = Y/E with Y integral. The
+bisector of a lattice vector v = w/D, v·x <= v·x0 + |v|^2/2, is then
+w·y <= c/(2E) with the integer c = 2 w·Y + E|w|^2. Vertices are solved by Cramer's rule from integer
 determinants and adjugates, tested with `w·P <= c·det`, and brought to
 one common denominator, so incidences, orderings and cone determinants
 are integer arithmetic too. Fractions are built only for the returned
@@ -18,7 +18,7 @@ are integer arithmetic too. Fractions are built only for the returned
 Basis reduction. The integer basis of D·L is LLL-reduced (exact,
 delta = 3/4) before the short vectors are enumerated, so the
 enumeration box, and with it the cost, is set by the lattice and not by
-how skewed the given generators are.
+how skewed the given generators are; `linalg.det_adj` bounds the box.
 
 Independence of the basis. The bisectors kept are exactly the facets:
 the strictly Voronoi-relevant vectors, the nonzero v in L with
@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 from .errors import ConstructionFailed, DimensionTooLarge
 from .lattices import EucLattice, covolume
-from .linalg import Vec, denominator_lcm, dot, frac, gram_schmidt
+from .linalg import Vec, det_adj, dot, frac, gram_schmidt, integer_form
 
 IVec = tuple[int, ...]
 
@@ -136,7 +136,7 @@ def _relevant_vectors(basis: Sequence[IVec]) -> list[IVec]:
     as (1, 1, 0) for Z^3, has v/2 on another facet's bisector and fails.
     """
     bound = sum(gram_schmidt(basis)[0], Fraction(0))
-    rows, d = _inverse_rows(basis)
+    d, rows = det_adj(tuple(zip(*basis)))
     # |z_i| <= sqrt(bound) * |row i of B^-1|, with B^-1 = adj / d
     ranges = [range(-m, m + 1) for m in (
         isqrt(bound.numerator * bound.denominator * _dot(r, r)) // (bound.denominator * abs(d))
@@ -156,15 +156,6 @@ def _relevant_vectors(basis: Sequence[IVec]) -> list[IVec]:
             kept.append(v)
             kept.append(tuple(-x for x in v))
     return sorted(kept)
-
-
-def _inverse_rows(basis: Sequence[IVec]) -> tuple[list[IVec], int]:
-    """Rows of adj(B) and det(B) for the matrix B whose columns are the
-    basis vectors, so that B^-1 = adj(B) / det(B)."""
-    # solving B^T p = e_j gives column j of adj(B^T), which is row j of adj(B)
-    n = len(basis)
-    sols = [_solve(basis, tuple(int(i == j) for i in range(n))) for j in range(n)]
-    return [p for p, _ in sols], sols[0][1]
 
 
 def _vertices(ws: Sequence[IVec], cs: Sequence[int], n: int) -> tuple[list[IVec], int]:
@@ -237,14 +228,13 @@ def dirichlet_domain(L: EucLattice, x0: Optional[Sequence] = None) -> ConvexCell
     n = L.dim
     if n > 3:
         raise DimensionTooLarge("cells are computed in dimensions 1 to 3 only")
-    base = tuple(frac(x) for x in (x0 if x0 is not None else [0] * n))
-    if len(base) != n:
+    E, (EY,) = integer_form((x0 if x0 is not None else [0] * n,))
+    if len(EY) != n:
         raise ValueError("base point dimension does not match the lattice")
-    D = denominator_lcm(x for row in L.basis for x in row)
-    E = denominator_lcm(base)
+    D = L.scale
     h = 2 * E
-    Y = tuple(int(x * D * E) for x in base)
-    ws = _relevant_vectors(_lll([tuple(int(x * D) for x in col) for col in L.columns]))
+    Y = tuple(D * y for y in EY)
+    ws = _relevant_vectors(_lll(list(zip(*L.basis_int))))
     cs = [2 * _dot(w, Y) + E * _dot(w, w) for w in ws]
     verts, q = _vertices(ws, cs, n)
     # every kept bisector carries a facet: its vertices are those on it

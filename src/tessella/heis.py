@@ -16,9 +16,10 @@ psi predicates, and the Monte Carlo translate count) run on Python ints:
 a point is put on one scale S that is a multiple of the lattice's
 denominator lcm a and of its own denominators, as the integer triple
 (S x, S^2 c), and the frame coordinates A^-1 x are integer numerators
-over one denominator. Fractions appear only at the edges: the sampler's
-output, the HeisPoints handed to a candidate's predicates, and the
-returned Reduction and MCReport.
+over one denominator, read from the lattice's integer form (`linalg`'s
+`integer_form` and `det_adj`). Fractions appear only at the edges: the
+sampler's output, the HeisPoints handed to a candidate's predicates,
+and the returned Reduction and MCReport.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     TooLarge,
     WindowTooSmall,
 )
-from .linalg import Mat, denominator_lcm, det, floor_frac, frac, mat, mat_mul, mat_vec
+from .linalg import Mat, det, det_adj, floor_frac, frac, integer_form, mat, mat_mul, mat_vec
 from .sampling import DyadicSampler
 
 
@@ -198,9 +199,9 @@ class HeisLattice:
     (the product picks up a 2 n2 m1 det A central correction); det A = 0
     would collapse the planar rank. Hence det A must be a nonzero
     half-integer. The integer form used by the per-point kernels is
-    computed once, here: a = lcm of the denominators of A, A_int = a A,
-    det_int = det A_int and adj_int = adj(A_int), so that
-    A^-1 = a adj_int / det_int.
+    computed once, here, by `linalg.integer_form` and `linalg.det_adj`:
+    a = lcm of the denominators of A, A_int = a A, det_int = det A_int
+    and adj_int = adj(A_int), so that A^-1 = a adj_int / det_int.
     """
 
     A: Mat
@@ -212,18 +213,18 @@ class HeisLattice:
 
     def __post_init__(self):
         A = _planar_matrix(self.A, "lattice")
-        a = denominator_lcm(x for row in A for x in row)
-        (p, q), (r, s) = ((int(x * a) for x in row) for row in A)
-        d = Fraction(p * s - q * r, a * a)
+        a, A_int = integer_form(A)
+        det_int, adj_int = det_adj(A_int)
+        d = Fraction(det_int, a * a)
         if d == 0 or (2 * d).denominator != 1:
             raise InvalidInput(
                 f"determinant {d} is not a nonzero half-integer")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "planar_det", d)
         object.__setattr__(self, "int_scale", a)
-        object.__setattr__(self, "A_int", ((p, q), (r, s)))
-        object.__setattr__(self, "det_int", p * s - q * r)
-        object.__setattr__(self, "adj_int", ((s, -q), (-r, p)))
+        object.__setattr__(self, "A_int", A_int)
+        object.__setattr__(self, "det_int", det_int)
+        object.__setattr__(self, "adj_int", adj_int)
 
     @classmethod
     def standard(cls) -> "HeisLattice":
@@ -232,8 +233,7 @@ class HeisLattice:
 
     def element(self, n1: int, n2: int, n3: int) -> HeisPoint:
         """Y1^n1 Y2^n2 X3^n3 where Y_i are the planar generators."""
-        x = mat_vec(self.A, (Fraction(n1), Fraction(n2)))
-        return HeisPoint(x[0], x[1], n1 * n2 * self.planar_det + n3)
+        return _unscaled(self.int_scale, _generator(self, self.int_scale, n1, n2, n3))
 
     def exponents(self, g: HeisPoint) -> Optional[tuple[int, int, int]]:
         """Inverse of element(), or None when g is not in the lattice."""
@@ -535,10 +535,8 @@ def _translate_counter(candidate: CandidateDomain, action: HeisAction):
     for a, b in zip(lo, hi):
         bound *= floor_frac(b - a) + 1
     # every interval end over one denominator H (planar) or H3 (central)
-    H = denominator_lcm(lo + hi)
-    (lo1, lo2), (hi1, hi2) = ([int(x * H) for x in v] for v in (lo, hi))
-    H3 = denominator_lcm((blo3, bhi3))
-    lo3, hi3 = int(blo3 * H3), int(bhi3 * H3)
+    H, ((lo1, lo2), (hi1, hi2)) = integer_form((lo, hi))
+    H3, ((lo3, hi3),) = integer_form(((blo3, bhi3),))
     boundary, contains = candidate.boundary, candidate.contains
 
     def count(z) -> tuple[int, bool]:
@@ -580,11 +578,11 @@ def mc_verify_tiling(
     The window must be 3 intervals containing the candidate's bounding
     box, so the samples probe the candidate region itself and not just
     empty space. Samples whose translates land on the candidate's
-    boundary faces are resampled (bounded retries), keeping the histogram
-    seed-determined. A request that would test more than
-    MAX_TRANSLATE_TESTS translates (samples times the per-sample bound)
-    raises TooLarge before the first draw; resampled draws, which need a
-    translate exactly on a face, are not counted against it.
+    boundary faces are resampled, keeping the histogram seed-determined.
+    A request whose samples would test more than MAX_TRANSLATE_TESTS
+    translates (samples times the per-sample bound) raises TooLarge before
+    the first draw; resampled draws are capped then at 64 per sample or at
+    what the budget leaves after the samples, whichever is less.
     """
     if isinstance(samples, bool) or not isinstance(samples, int):
         raise InvalidInput("samples must be an integer")
@@ -609,7 +607,7 @@ def mc_verify_tiling(
     hist: dict[int, int] = {}
     produced = 0
     resampled = 0
-    budget = 64 * samples
+    budget = min(64 * samples, MAX_TRANSLATE_TESTS // bound - samples)
     while produced < samples:
         count, tainted = count_translates(sampler.in_box(window))
         if tainted and resampled < budget:

@@ -5,7 +5,8 @@ verification of box regions, constructive common fundamental domains for
 commensurable pairs of equal covolume, the k + eps splitting, component
 translation systems, function tilings, and boundary-count diagnostics.
 All rational lattice pairs of equal dimension are commensurable, so the
-constructions here never need a limiting argument.
+constructions here never need a limiting argument. Covolumes, membership,
+indices and cell images are read in ints from each lattice's integer form.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .boxes import (
@@ -41,11 +43,13 @@ from .linalg import (
     Mat,
     Vec,
     det,
+    det_adj,
     floor_frac,
     frac,
     hnf,
     hnf_rational,
     identity,
+    integer_form,
     integer_ranges,
     mat,
     mat_inv,
@@ -56,14 +60,17 @@ from .linalg import (
 
 
 class EucLattice:
-    """Lattice generated by the columns of a nonsingular rational matrix."""
+    """Lattice generated by the columns of a nonsingular rational matrix B;
+    its integer form is `scale`·B = `basis_int`, `det_int` and `adj_int`."""
 
     def __init__(self, basis):
         self.basis = mat(basis)
         n = len(self.basis)
         if any(len(r) != n for r in self.basis):
             raise InvalidInput("lattice basis must be square")
-        if det(self.basis) == 0:
+        self.scale, self.basis_int = integer_form(self.basis)
+        self.det_int, self.adj_int = det_adj(self.basis_int)
+        if self.adj_int is None:
             raise InvalidInput("lattice basis must be nonsingular")
         self._canonical: Optional[Mat] = None
 
@@ -86,8 +93,19 @@ class EucLattice:
         return self.dim == other.dim and self.canonical_basis == other.canonical_basis
 
     def contains(self, v: Sequence) -> bool:
-        coords = mat_vec(mat_inv(self.basis), tuple(frac(x) for x in v))
-        return all(c.denominator == 1 for c in coords)
+        column = tuple((x,) for x in v)
+        if len(column) != self.dim:
+            raise ValueError("vector dimension does not match the lattice")
+        return self._coordinates(column) is not None
+
+    def _coordinates(self, M) -> Optional[list[list[int]]]:
+        """B^-1·M = scale·adj·(e·M) / (e·det) in ints, or None if M is not in L."""
+        e, M_int = integer_form(M)
+        q, cols = e * self.det_int, list(zip(*M_int))
+        C = [[self.scale * sum(map(mul, row, col)) for col in cols] for row in self.adj_int]
+        if any(x % q for row in C for x in row):
+            return None
+        return [[x // q for x in row] for row in C]
 
     @classmethod
     def standard(cls, n: int) -> "EucLattice":
@@ -96,7 +114,7 @@ class EucLattice:
 
 def covolume(L: EucLattice) -> Fraction:
     """Measure of any fundamental domain: |det basis|."""
-    return abs(det(L.basis))
+    return abs(Fraction(L.det_int, L.scale ** L.dim))
 
 
 def lattice_sum(L1: EucLattice, L2: EucLattice) -> EucLattice:
@@ -121,12 +139,9 @@ def index(L_sub: EucLattice, L: EucLattice) -> int:
     """[L : L_sub], the covolume ratio, as an exact positive integer."""
     if L_sub.dim != L.dim:
         raise NotSublattice("lattices of different dimension")
-    C = mat_mul(mat_inv(L.basis), L_sub.basis)
-    if any(x.denominator != 1 for row in C for x in row):
+    if L._coordinates(L_sub.basis) is None:
         raise NotSublattice("first lattice is not contained in the second")
-    d = abs(det(C))
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    return int(covolume(L_sub) / covolume(L))
 
 
 def fundamental_parallelepiped(L: EucLattice) -> FrameRegion:
@@ -187,12 +202,12 @@ def _reduce_vec(v: Sequence[int], H: Sequence[Sequence[int]]) -> tuple[int, ...]
     return tuple(v)
 
 
-def _integer_image(Sinv: Mat, L: EucLattice) -> list[list[int]]:
+def _integer_image(S: EucLattice, L: EucLattice) -> list[list[int]]:
     """The integer matrix S^-1 * L: the basis of L <= S in S-coordinates."""
-    C = mat_mul(Sinv, L.basis)
-    if any(x.denominator != 1 for row in C for x in row):
+    C = S._coordinates(L.basis)
+    if C is None:
         raise NotSublattice("lattice not contained in the sum lattice")
-    return [[int(x) for x in row] for row in C]
+    return C
 
 
 # Most cells a lattice construction enumerates: five times the largest
@@ -220,22 +235,15 @@ class _CellSystem:
     def __init__(self, L1: EucLattice, L2: EucLattice, first_axis_split: int = 1):
         S = lattice_sum(L1, L2)
         if first_axis_split > 1:
-            q = Fraction(first_axis_split)
-            scaled = tuple(
-                tuple(S.basis[i][j] / q if j == 0 else S.basis[i][j]
-                      for j in range(S.dim))
-                for i in range(S.dim)
-            )
-            S = EucLattice(scaled)
+            S = EucLattice([(row[0] / first_axis_split,) + row[1:] for row in S.basis])
         self.S = S
-        Sinv = mat_inv(S.basis)
-        H = hnf(_integer_image(Sinv, lattice_intersection(L1, L2)))
+        H = hnf(_integer_image(S, lattice_intersection(L1, L2)))
         cells = prod(H[j][j] for j in range(S.dim))
         if cells > MAX_CELLS:
             raise TooLarge(f"{cells} cells exceed the budget of {MAX_CELLS}")
         self.reps = list(product(*[range(H[j][j]) for j in range(S.dim)]))
-        H1 = hnf(_integer_image(Sinv, L1))
-        H2 = hnf(_integer_image(Sinv, L2))
+        H1 = hnf(_integer_image(S, L1))
+        H2 = hnf(_integer_image(S, L2))
         self.left = [_reduce_vec(r, H1) for r in self.reps]
         self.right = [_reduce_vec(r, H2) for r in self.reps]
 

@@ -1,15 +1,15 @@
 """Exact rational vectors and matrices.
 
-Everything in the package that carries a coordinate, a measure, or a
-weight is a Fraction. Matrices are tuples of row tuples; vectors are
-tuples. All operations are pure and return new tuples.
+Every coordinate, measure or weight is a Fraction, matrices are tuples of
+row tuples and vectors tuples; all operations are pure. Determinants and
+inverses come from one fraction-free kernel on integer forms, `det_adj`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -75,49 +75,54 @@ def dot(u: Vec, v: Vec) -> Fraction:
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
+    """Determinant by `det_adj`, exact for any rational entries."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    m = [list(r) for r in a]
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return d
+    d, m = integer_form(a)
+    return Fraction(det_adj(m)[0], d ** n)
 
 
 def mat_inv(a: Mat) -> Mat:
-    """Inverse by Gauss-Jordan; raises ValueError on a singular matrix."""
+    """Inverse by `det_adj`; raises ValueError on a singular matrix."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inverse of a non-square matrix")
-    m = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(a)]
+    d, m = integer_form(a)
+    dm, adj = det_adj(m)
+    if adj is None:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(d * x, dm) for x in row) for row in adj)
+
+
+def integer_form(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d·a), d the lcm of a's denominators: the least d > 0 with d·a integral."""
+    m = mat(a)
+    d = denominator_lcm(x for row in m for x in row)
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
+
+
+def det_adj(m) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
+    """(det m, adj m) of a square integer matrix, (0, None) if singular, by
+    fraction-free Gauss-Jordan on [m | I] (Bareiss, Math. Comp. 1968): every
+    entry stays a minor, so each division by the last pivot p is exact. The
+    end is [q I | q m'^-1], m' = m with rows swapped s = ±1 times, q = det m'."""
+    n = len(m)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    sign = p = 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
         if piv is None:
-            raise ValueError("singular matrix")
+            return 0, None
         if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
+            rows[c], rows[piv], sign = rows[piv], rows[c], -sign
+        top, q = rows[c], rows[c][c]
         for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
+            f = rows[r][c]
+            if r != c:
+                rows[r] = [(q * x - f * y) // p for x, y in zip(rows[r], top)]
+        p = q
+    return sign * p, tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
 def denominator_lcm(xs: Iterable[Fraction]) -> int:
@@ -174,15 +179,14 @@ def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 def hnf_rational(columns: Sequence[Vec]) -> Mat:
     """Canonical basis of the lattice generated by rational column vectors.
 
-    Scales by d = lcm of all denominators (the minimal d with d*L in Z^n,
-    which is basis-independent), applies integer HNF, and scales back, so
-    equal lattices yield identical output regardless of generators.
+    Scales by d from `integer_form` (the minimal d with d*L in Z^n, which
+    is basis-independent), applies integer HNF, and scales back, so equal
+    lattices yield identical output regardless of generators.
     """
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("ragged generators")
-    d = denominator_lcm(x for c in columns for x in c)
-    rows = [[int(c[i] * d) for c in columns] for i in range(n)]
+    d, rows = integer_form(transpose(columns))
     h = hnf(rows)
     return tuple(tuple(Fraction(h[i][j], d) for j in range(n)) for i in range(n))
 

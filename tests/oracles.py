@@ -111,6 +111,67 @@ def brute_commute(left_perms, right_perms):
 # ---------------------------------------------------------------- lattices
 
 
+def fraction_det(a):
+    """Determinant by Fraction Gaussian elimination with partial pivoting."""
+    n = len(a)
+    m = [[Fraction(x) for x in r] for r in a]
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            for k in range(c, n):
+                m[r][k] -= f * m[c][k]
+    return d
+
+
+def fraction_inverse(a):
+    """Inverse by Fraction Gauss-Jordan on [a | I]; a must be nonsingular."""
+    n = len(a)
+    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(a)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def _fraction_coords(basis, M):
+    """basis^-1 M over Fractions, M a list of rows."""
+    inv = fraction_inverse(basis)
+    return [[sum((x * M[k][j] for k, x in enumerate(row)), Fraction(0))
+             for j in range(len(M[0]))] for row in inv]
+
+
+def fraction_covolume(basis):
+    return abs(fraction_det(basis))
+
+
+def fraction_contains(basis, v):
+    coords = _fraction_coords(basis, [[Fraction(x)] for x in v])
+    return all(c[0].denominator == 1 for c in coords)
+
+
+def fraction_index(sub_basis, basis):
+    """[L : L_sub] as det of the integer matrix basis^-1 sub_basis, or
+    None when L_sub is not contained in L."""
+    C = _fraction_coords(basis, sub_basis)
+    if any(x.denominator != 1 for row in C for x in row):
+        return None
+    return abs(fraction_det(C))
+
+
 def lattice_points_in_box(basis_cols, lo, hi):
     """All lattice points inside a closed coordinate box, by scanning an
     integer coefficient range large enough to cover it."""

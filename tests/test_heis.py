@@ -452,6 +452,35 @@ def test_thick_faces_resample():
         cand.bbox, 40, 3)
 
 
+def test_resampled_draws_stay_within_the_budget(monkeypatch):
+    # every draw lands on a face, so only the cap ends the resampling
+    L = HeisLattice.standard()
+    cell = malcev_cell(L)
+    cand = CandidateDomain(cell.contains, cell.bbox, lambda g: True)
+    calls = []
+    original = heis._translate_counter
+
+    def counting(candidate, action):
+        bound, count = original(candidate, action)
+        calls.append(bound)
+
+        def counted(z):
+            calls.append(z)
+            return count(z)
+        return bound, counted
+
+    monkeypatch.setattr(heis, "_translate_counter", counting)
+    monkeypatch.setattr(heis, "MAX_TRANSLATE_TESTS", 800)
+    rep = mc_verify_tiling(cand, HeisAction("left", L), cand.bbox, 10, 5)
+    bound, draws = calls[0], len(calls) - 1
+    assert bound == 8  # two planar and two central exponents each
+    # the cap is min(64 * 10, 800 // 8 - 10) = 90, not 640
+    assert rep.resampled == 90
+    assert draws == rep.samples + rep.resampled == 100
+    assert draws * bound <= 800
+    assert sum(rep.histogram.values()) == 10
+
+
 @given(heis_lattices(), sides,
        st.tuples(*[st.fractions(-50, 50, max_denominator=1000)] * 3))
 def test_reduction_equals_fraction_reference(L, side, xs):

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tessella.boxes import FrameRegion, box_volume, make_box
 from tessella.errors import (
@@ -101,6 +102,60 @@ def test_sum_intersection_index():
 def test_index_requires_sublattice():
     with pytest.raises(NotSublattice):
         index(EucLattice.standard(2), HALF_TALL)
+
+
+@st.composite
+def rational_lattices(draw, n):
+    """Nonsingular n x n bases with entries p/q, |p| <= 4, q <= 3."""
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n).filter(
+                             lambda r: oracles.fraction_det(r) != 0))
+    return EucLattice(rows)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    rational_lattices(n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    st.lists(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)),
+             min_size=n, max_size=n))))
+def test_integer_form_equals_fraction_reference(args):
+    lat, z, shift = args
+    assert covolume(lat) == oracles.fraction_covolume(lat.basis)
+    point = mat_vec(lat.basis, tuple(Fraction(x) for x in z))
+    assert lat.contains(point)
+    # a shifted point is in L exactly when the shift is
+    moved = tuple(p + s for p, s in zip(point, shift))
+    assert lat.contains(moved) == oracles.fraction_contains(lat.basis, moved)
+    assert lat.contains(shift) == oracles.fraction_contains(lat.basis, shift)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    rational_lattices(n), rational_lattices(n),
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+             min_size=n, max_size=n))))
+def test_index_equals_fraction_reference(args):
+    lat, other, coeffs = args
+    # an integer combination of the basis gives a sublattice when it is
+    # nonsingular; `other` is usually not contained in `lat`
+    candidates = [other]
+    if oracles.fraction_det(coeffs) != 0:
+        candidates.append(EucLattice(mat_mul(lat.basis, mat(coeffs))))
+    for sub in candidates:
+        want = oracles.fraction_index(sub.basis, lat.basis)
+        if want is None:
+            with pytest.raises(NotSublattice):
+                index(sub, lat)
+        else:
+            got = index(sub, lat)
+            assert type(got) is int and got == want
+
+
+def test_contains_refuses_wrong_length():
+    with pytest.raises(ValueError):
+        HALF_TALL.contains((1, 2, 3))
+    with pytest.raises(ValueError):
+        HALF_TALL.contains((1,))
 
 
 def test_dimension_mismatch_is_incommensurable():

@@ -1,17 +1,20 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from tessella.linalg import (
     denominator_lcm,
     det,
+    det_adj,
     floor_frac,
     frac,
     gram_schmidt,
     hnf,
     hnf_rational,
     identity,
+    integer_form,
     mat,
     mat_inv,
     mat_mul,
@@ -71,6 +74,97 @@ def test_inverse_roundtrip(rows):
     else:
         assert mat_mul(m, mat_inv(m)) == identity(3)
         assert mat_mul(mat_inv(m), m) == identity(3)
+
+
+def test_plain_int_entries_stay_exact():
+    # plain int entries must never reach a float division
+    rows = [[-12, -4], [7, 2]]
+    d = det(rows)
+    assert d == Fraction(4) and isinstance(d, Fraction)
+    inv = mat_inv(rows)
+    want = sympy.Matrix(rows).inv()
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
+    assert [list(row) for row in inv] == [
+        [Fraction(str(want[i, j])) for j in range(2)] for i in range(2)]
+
+
+@given(st.integers(1, 4).flatmap(square_int_matrices))
+def test_det_and_inverse_of_raw_int_lists(rows):
+    d = det(rows)
+    assert isinstance(d, Fraction)
+    assert d == oracles.sympy_det(rows)
+    if d == 0:
+        with pytest.raises(ValueError):
+            mat_inv(rows)
+    else:
+        inv = mat_inv(rows)
+        assert all(isinstance(x, Fraction) for row in inv for x in row)
+        assert mat_mul(mat(rows), inv) == identity(len(rows))
+
+
+def test_bool_entries_are_refused():
+    for f in (det, mat_inv, integer_form):
+        with pytest.raises(ValueError):
+            f([[True, 0], [0, 1]])
+
+
+def test_non_square_is_refused():
+    with pytest.raises(ValueError, match="non-square"):
+        det([[1, 2]])
+    with pytest.raises(ValueError, match="non-square"):
+        mat_inv([[1, 2]])
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Integer n x n matrices, n = 0..5, with many zero entries so that
+    pivots need row swaps; about a third of them are made singular by
+    replacing one row with a combination of the others."""
+    n = draw(st.integers(0, 5))
+    entry = st.just(0) | st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rows[k] = [sum(c * rows[i][j] for i, c in enumerate(coeffs) if i != k)
+                   for j in range(n)]
+    return rows
+
+
+def _int_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@given(kernel_matrices())
+def test_det_adj_matches_sympy(rows):
+    d, adj = det_adj(rows)
+    assert type(d) is int and d == oracles.sympy_det(rows)
+    n = len(rows)
+    if d == 0:
+        assert adj is None
+        return
+    assert all(type(x) is int for row in adj for x in row)
+    scalar = [[d * (i == j) for j in range(n)] for i in range(n)]
+    assert _int_mul(adj, rows) == scalar
+    assert _int_mul(rows, adj) == scalar
+
+
+def test_det_adj_frozen_values():
+    assert det_adj(()) == (1, ())
+    assert det_adj(((1, 2), (3, 4))) == (-2, ((4, -2), (-3, 1)))
+    # a row swap at the first pivot flips the sign of both
+    assert det_adj(((0, 1), (1, 0))) == (-1, ((0, -1), (-1, 0)))
+    assert det_adj(((1, 2), (2, 4))) == (0, None)
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.lists(
+    st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=3)))
+def test_integer_form_is_least_scale(rows):
+    d, m = integer_form(rows)
+    assert m == tuple(tuple(int(x * d) for x in row) for row in rows)
+    assert all(x * d == y for row, irow in zip(rows, m) for x, y in zip(row, irow))
+    for k in range(1, d):
+        assert any((x * k).denominator != 1 for row in rows for x in row)
 
 
 def test_hnf_frozen_shape():
