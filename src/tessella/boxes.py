@@ -2,11 +2,12 @@
 
 A region is a finite disjoint union of boxes prod [a_i, b_i) whose
 corners are given in the coordinates of an invertible rational frame
-matrix (columns are the frame vectors). The class is closed under the
-one operation everything else reduces to: cutting boxes along lattice
-hyperplanes and translating the pieces, which makes tiling and packing
-checks against any rational lattice exact. The half-open convention
-turns "up to measure zero" statements into literal partitions.
+matrix (columns are the frame vectors), held with its integer form
+(`linalg.IntBasis`). The class is closed under the one operation
+everything else reduces to: cutting boxes along lattice hyperplanes and
+translating the pieces, which makes tiling and packing checks against
+any rational lattice exact. The half-open convention turns "up to
+measure zero" statements into literal partitions.
 
 The hot loops run on integer grids. Scaling one axis by a positive
 integer keeps the order of its coordinates, so a region's boxes are
@@ -19,25 +20,14 @@ go back to Fractions only at the end, so every value stays exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConstructionFailed, InvalidInput
-from .linalg import (
-    Mat,
-    Vec,
-    denominator_lcm,
-    det,
-    frac,
-    hnf,
-    mat,
-    mat_inv,
-    mat_mul,
-    mat_vec,
-)
+from .linalg import IntBasis, Mat, Vec, frac, hnf, mat, mat_mul, mat_vec
 
 Box = tuple[tuple[Fraction, Fraction], ...]
 
@@ -73,13 +63,15 @@ class FrameRegion:
 
     frame: Mat
     boxes: tuple[Box, ...]
+    form: IntBasis = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "frame", mat(self.frame))
         n = len(self.frame)
         if any(len(row) != n for row in self.frame):
             raise InvalidInput("frame matrix must be square")
-        if det(self.frame) == 0:
+        object.__setattr__(self, "form", IntBasis.of(self.frame))
+        if self.form is None:
             raise InvalidInput("frame matrix must be invertible")
         boxes = tuple(
             make_box([x[0] for x in b], [x[1] for x in b]) for b in self.boxes
@@ -101,14 +93,13 @@ class FrameRegion:
 
     @property
     def measure(self) -> Fraction:
-        scale = abs(det(self.frame))
-        return scale * sum((box_volume(b) for b in self.boxes), Fraction(0))
+        return abs(self.form.det) * sum((box_volume(b) for b in self.boxes), Fraction(0))
 
     def to_ambient(self, coords: Sequence) -> Vec:
         return mat_vec(self.frame, tuple(frac(c) for c in coords))
 
     def contains(self, point: Sequence) -> bool:
-        coords = mat_vec(mat_inv(self.frame), tuple(frac(x) for x in point))
+        coords = mat_vec(self.form.inverse(), tuple(frac(x) for x in point))
         return any(
             all(lo <= c < hi for c, (lo, hi) in zip(coords, b)) for b in self.boxes
         )
@@ -242,17 +233,18 @@ class ReducedRegion:
     cell_basis: Mat
 
     def level_measure(self, m: int) -> Fraction:
-        scale = abs(det(self.frame))
+        scale = abs(IntBasis.of(self.frame).det)
         return scale * sum((box_volume(b) for b in self.levels.get(m, ())), Fraction(0))
 
     @property
     def cell_measure(self) -> Fraction:
-        return abs(det(self.frame)) * box_volume(self.torus)
+        return abs(IntBasis.of(self.frame).det) * box_volume(self.torus)
 
 
 def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
     """Express a bounded region modulo the column lattice of basis.
 
+    The basis must be n x n and nonsingular (InvalidInput otherwise).
     The region frame B is refined to B'' = B diag(1/d_i) with d_i the
     lcm of the denominators of row i of B^-1 basis, so the lattice
     becomes an integer column lattice; its HNF H is lower triangular,
@@ -273,12 +265,16 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
     """
     B = region.frame
     n = region.dim
-    if len(basis) != n:
+    if len(basis) != n or any(len(row) != n for row in basis):
         raise InvalidInput("lattice dimension does not match the region frame")
-    M = mat_mul(mat_inv(B), mat(basis))
-    scales = [denominator_lcm(row) for row in M]
-    K = [[int(M[i][j] * scales[i]) for j in range(n)] for i in range(n)]
-    H = hnf(K)
+    # row i of B^-1 basis is N[i] / q, of denominator lcm q / gcd(q, N[i])
+    N, q = region.form.solve(basis)
+    gs = [gcd(q, *row) for row in N]
+    scales = [q // g for g in gs]
+    try:
+        H = hnf([[x // g for x in row] for row, g in zip(N, gs)])
+    except ValueError:  # a zero determinant leaves H without full rank
+        raise InvalidInput("lattice basis must be nonsingular") from None
     refined = tuple(
         tuple(B[i][j] / scales[j] for j in range(n)) for i in range(n)
     )
@@ -328,9 +324,7 @@ def reduce_mod(region: FrameRegion, basis: Mat) -> ReducedRegion:
         cell_basis=mat_mul(refined, tuple(tuple(map(Fraction, row)) for row in H)),
     )
     if covered != sum(prod(hi - lo for lo, hi in bx) for bx in grid):
-        total = sum(
-            (Fraction(m) * reduced.level_measure(m) for m in reduced.levels), Fraction(0)
-        )
+        total = sum((m * reduced.level_measure(m) for m in reduced.levels), Fraction(0))
         raise ConstructionFailed("measure not conserved during reduction",
                                  {"measure": total, "expected": region.measure})
     return reduced

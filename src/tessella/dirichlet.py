@@ -6,10 +6,10 @@ produced exactly: the facet half-spaces and the vertex list, plus the
 exact volume (a cone decomposition from x0).
 
 Integer scaling. With D the lcm of the basis denominators, D·L is an
-integer lattice (`EucLattice`'s integer form); work in the coordinates
-y = D·x and write the base point as D·x0 = Y/E with Y integral. The
-bisector of a lattice vector v = w/D, v·x <= v·x0 + |v|^2/2, is then
-w·y <= c/(2E) with the integer c = 2 w·Y + E|w|^2. Vertices are solved by Cramer's rule from integer
+integer lattice (`L.form`); work in the coordinates y = D·x and write
+the base point as D·x0 = Y/E with Y integral. The bisector of a lattice
+vector v = w/D, v·x <= v·x0 + |v|^2/2, is then w·y <= c/(2E) with the
+integer c = 2 w·Y + E|w|^2. Vertices are solved by Cramer's rule from integer
 determinants and adjugates, tested with `w·P <= c·det`, and brought to
 one common denominator, so incidences, orderings and cone determinants
 are integer arithmetic too. Fractions are built only for the returned
@@ -231,10 +231,10 @@ def dirichlet_domain(L: EucLattice, x0: Optional[Sequence] = None) -> ConvexCell
     E, (EY,) = integer_form((x0 if x0 is not None else [0] * n,))
     if len(EY) != n:
         raise ValueError("base point dimension does not match the lattice")
-    D = L.scale
+    D = L.form.scale
     h = 2 * E
     Y = tuple(D * y for y in EY)
-    ws = _relevant_vectors(_lll(list(zip(*L.basis_int))))
+    ws = _relevant_vectors(_lll(list(zip(*L.form.rows))))
     cs = [2 * _dot(w, Y) + E * _dot(w, w) for w in ws]
     verts, q = _vertices(ws, cs, n)
     # every kept bisector carries a facet: its vertices are those on it

@@ -16,8 +16,8 @@ psi predicates, and the Monte Carlo translate count) run on Python ints:
 a point is put on one scale S that is a multiple of the lattice's
 denominator lcm a and of its own denominators, as the integer triple
 (S x, S^2 c), and the frame coordinates A^-1 x are integer numerators
-over one denominator, read from the lattice's integer form (`linalg`'s
-`integer_form` and `det_adj`). Fractions appear only at the edges: the
+over one denominator, read from the lattice's integer form
+(`linalg.IntBasis`). Fractions appear only at the edges: the
 sampler's output, the HeisPoints handed to a candidate's predicates,
 and the returned Reduction and MCReport.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, log
+from math import lcm, log, prod
 from typing import Callable, Optional
 
 from .boxes import Box
@@ -37,7 +37,7 @@ from .errors import (
     TooLarge,
     WindowTooSmall,
 )
-from .linalg import Mat, det, det_adj, floor_frac, frac, integer_form, mat, mat_mul, mat_vec
+from .linalg import IntBasis, Mat, det, frac, integer_form, interval_image, mat, mat_mul, mat_vec
 from .sampling import DyadicSampler
 
 
@@ -198,33 +198,24 @@ class HeisLattice:
     which is closed under the product exactly when 2 det A is an integer
     (the product picks up a 2 n2 m1 det A central correction); det A = 0
     would collapse the planar rank. Hence det A must be a nonzero
-    half-integer. The integer form used by the per-point kernels is
-    computed once, here, by `linalg.integer_form` and `linalg.det_adj`:
-    a = lcm of the denominators of A, A_int = a A, det_int = det A_int
-    and adj_int = adj(A_int), so that A^-1 = a adj_int / det_int.
+    half-integer. The per-point kernels read A's integer form `form`,
+    computed once here: A^-1 = form.scale form.adj_int / form.det_int.
     """
 
     A: Mat
     planar_det: Fraction = field(init=False, repr=False, compare=False)
-    int_scale: int = field(init=False, repr=False, compare=False)
-    A_int: tuple = field(init=False, repr=False, compare=False)
-    det_int: int = field(init=False, repr=False, compare=False)
-    adj_int: tuple = field(init=False, repr=False, compare=False)
+    form: IntBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _planar_matrix(self.A, "lattice")
-        a, A_int = integer_form(A)
-        det_int, adj_int = det_adj(A_int)
-        d = Fraction(det_int, a * a)
+        form = IntBasis.of(A)
+        d = Fraction(0) if form is None else form.det
         if d == 0 or (2 * d).denominator != 1:
             raise InvalidInput(
                 f"determinant {d} is not a nonzero half-integer")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "planar_det", d)
-        object.__setattr__(self, "int_scale", a)
-        object.__setattr__(self, "A_int", A_int)
-        object.__setattr__(self, "det_int", det_int)
-        object.__setattr__(self, "adj_int", adj_int)
+        object.__setattr__(self, "form", form)
 
     @classmethod
     def standard(cls) -> "HeisLattice":
@@ -233,7 +224,7 @@ class HeisLattice:
 
     def element(self, n1: int, n2: int, n3: int) -> HeisPoint:
         """Y1^n1 Y2^n2 X3^n3 where Y_i are the planar generators."""
-        return _unscaled(self.int_scale, _generator(self, self.int_scale, n1, n2, n3))
+        return _unscaled(self.form.scale, _generator(self, self.form.scale, n1, n2, n3))
 
     def exponents(self, g: HeisPoint) -> Optional[tuple[int, int, int]]:
         """Inverse of element(), or None when g is not in the lattice."""
@@ -263,7 +254,7 @@ def _scaled(L: HeisLattice, g) -> tuple[int, tuple[int, int, int]]:
     """(S, (S x1, S x2, S^2 c)) for g = (x1, x2, c), with
     S = lcm(a, den x1, den x2, den c)."""
     x1, x2, c = g
-    S = lcm(L.int_scale, x1.denominator, x2.denominator, c.denominator)
+    S = lcm(L.form.scale, x1.denominator, x2.denominator, c.denominator)
     return S, (x1.numerator * (S // x1.denominator),
                x2.numerator * (S // x2.denominator),
                c.numerator * (S * S // c.denominator))
@@ -280,8 +271,8 @@ def _mul_scaled(g: tuple[int, int, int], h: tuple[int, int, int]) -> tuple[int, 
 def _frame(L: HeisLattice, X0: int, X1: int, S: int) -> tuple[int, int, int]:
     """Frame coordinates t = A^-1 X / S as integer numerators (N0, N1)
     over one positive denominator D: t = a adj_int X / (det_int S)."""
-    (p, q), (r, s) = L.adj_int
-    a, D = L.int_scale, L.det_int * S
+    (p, q), (r, s) = L.form.adj_int
+    a, D = L.form.scale, L.form.det_int * S
     if D < 0:
         a, D = -a, -D
     return a * (p * X0 + q * X1), a * (r * X0 + s * X1), D
@@ -289,11 +280,11 @@ def _frame(L: HeisLattice, X0: int, X1: int, S: int) -> tuple[int, int, int]:
 
 def _generator(L: HeisLattice, S: int, n1: int, n2: int, n3: int = 0) -> tuple[int, int, int]:
     """Y1^n1 Y2^n2 X3^n3 on scale S: (S A n, S^2 (n1 n2 det A + n3)),
-    with S A = (S / a) A_int."""
-    k = S // L.int_scale
-    (p, q), (r, s) = L.A_int
+    with S A = (S / a) form.rows."""
+    k = S // L.form.scale
+    (p, q), (r, s) = L.form.rows
     return (k * (p * n1 + q * n2), k * (r * n1 + s * n2),
-            k * k * n1 * n2 * L.det_int + n3 * S * S)
+            k * k * n1 * n2 * L.form.det_int + n3 * S * S)
 
 
 def _in_cell(L: HeisLattice, S: int, v: tuple[int, int, int]) -> bool:
@@ -353,13 +344,9 @@ def cell_contains(L: HeisLattice, g: HeisPoint) -> bool:
 
 
 def cell_bbox(L: HeisLattice) -> Box:
-    lo = [sum(min(Fraction(0), L.A[i][j]) for j in range(2)) for i in range(2)]
-    hi = [sum(max(Fraction(0), L.A[i][j]) for j in range(2)) for i in range(2)]
-    return (
-        (lo[0], hi[0]),
-        (lo[1], hi[1]),
-        (Fraction(0), Fraction(1)),
-    )
+    """The planar interval box of A [0,1]^2, times the central [0, 1]."""
+    lo, hi = interval_image(L.A, (Fraction(0),) * 2, (Fraction(1),) * 2)
+    return tuple(zip(lo, hi)) + ((Fraction(0), Fraction(1)),)
 
 
 def _cell_boundary(L: HeisLattice, g: HeisPoint) -> bool:
@@ -516,34 +503,26 @@ def _translate_counter(candidate: CandidateDomain, action: HeisAction):
     Only finitely many gamma can carry z into the bounding box B: the
     planar exponents n of gamma lie in A^-1 (x - B) = t - A^-1 B with
     t = A^-1 x, and A^-1 B lies in an interval box [lo, hi] fixed per
-    call, so n_i ranges over the integers of [t_i - hi_i, t_i - lo_i].
-    For each planar choice the central box interval pins n3 through the
-    same residue as the reductions. Each sample is put on one scale S
-    (`_scaled`); the ranges, the residue and the translate are computed in
-    ints, and every surviving translate is tested by exact membership as
-    a HeisPoint.
+    call (`linalg.interval_image`), so n_i ranges over the integers of
+    [t_i - hi_i, t_i - lo_i]. For each planar choice the central box
+    interval pins n3 through the same residue as the reductions. Each
+    sample is put on one scale S (`_scaled`); the ranges, the residue and
+    the translate are computed in ints, and every surviving translate is
+    tested by exact membership as a HeisPoint.
     """
     L, side = action.lattice, action.side
     (blo1, bhi1), (blo2, bhi2), (blo3, bhi3) = candidate.bbox
-    lo, hi = [], []
-    for row in L.adj_int:  # row i of A^-1 = a adj(A_int) / det_int
-        ends = [sorted((m * b, m * e)) for m, b, e in zip(
-            (Fraction(L.int_scale * x, L.det_int) for x in row), (blo1, blo2), (bhi1, bhi2))]
-        lo.append(ends[0][0] + ends[1][0])
-        hi.append(ends[0][1] + ends[1][1])
-    bound = floor_frac(bhi3 - blo3) + 1
-    for a, b in zip(lo, hi):
-        bound *= floor_frac(b - a) + 1
-    # every interval end over one denominator H (planar) or H3 (central)
-    H, ((lo1, lo2), (hi1, hi2)) = integer_form((lo, hi))
-    H3, ((lo3, hi3),) = integer_form(((blo3, bhi3),))
+    lo, hi = interval_image(L.form.inverse(), (blo1, blo2), (bhi1, bhi2))
+    # the planar intervals and the central box interval over one denominator H
+    H, ((lo1, lo2, lo3), (hi1, hi2, hi3)) = integer_form((lo + [blo3], hi + [bhi3]))
+    bound = prod((h - l) // H + 1 for l, h in ((lo1, hi1), (lo2, hi2), (lo3, hi3)))
     boundary, contains = candidate.boundary, candidate.contains
 
     def count(z) -> tuple[int, bool]:
         S, (X0, X1, C) = _scaled(L, z)
         S2 = S * S
         N0, N1, D = _frame(L, X0, X1, S)
-        DH, S2H = D * H, S2 * H3
+        DH, S2H = D * H, S2 * H
         n = 0
         tainted = False
         # n_i from ceil(t_i - hi_i) to floor(t_i - lo_i), t_i = N_i / D
@@ -553,7 +532,7 @@ def _translate_counter(candidate: CandidateDomain, action: HeisAction):
                 Q = (X0 - G[0], X1 - G[1])
                 e = _residue(side, C, G, Q) - G[2]
                 q1, q2 = Fraction(Q[0], S), Fraction(Q[1], S)
-                for n3 in range(-((hi3 * S2 - e * H3) // S2H), (e * H3 - lo3 * S2) // S2H + 1):
+                for n3 in range(-((hi3 * S2 - e * H) // S2H), (e * H - lo3 * S2) // S2H + 1):
                     w = HeisPoint(q1, q2, Fraction(e - n3 * S2, S2))
                     if boundary is not None and boundary(w):
                         tainted = True

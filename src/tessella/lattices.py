@@ -6,16 +6,17 @@ commensurable pairs of equal covolume, the k + eps splitting, component
 translation systems, function tilings, and boundary-count diagnostics.
 All rational lattice pairs of equal dimension are commensurable, so the
 constructions here never need a limiting argument. Covolumes, membership,
-indices and cell images are read in ints from each lattice's integer form.
+indices and cell images are read in ints from each lattice's integer form
+(`linalg.IntBasis`); intersections are integer meets in sum coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import prod
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .boxes import (
@@ -40,19 +41,17 @@ from .errors import (
 from .finite import VerifyResult, measure_result
 from .flows import select_and_deal
 from .linalg import (
+    IntBasis,
     Mat,
     Vec,
-    det,
-    det_adj,
     floor_frac,
     frac,
     hnf,
     hnf_rational,
     identity,
-    integer_form,
+    integer_meet,
     integer_ranges,
     mat,
-    mat_inv,
     mat_mul,
     mat_vec,
     transpose,
@@ -60,19 +59,16 @@ from .linalg import (
 
 
 class EucLattice:
-    """Lattice generated by the columns of a nonsingular rational matrix B;
-    its integer form is `scale`·B = `basis_int`, `det_int` and `adj_int`."""
+    """Lattice generated by the columns of a nonsingular rational B, with its integer form."""
 
     def __init__(self, basis):
         self.basis = mat(basis)
         n = len(self.basis)
         if any(len(r) != n for r in self.basis):
             raise InvalidInput("lattice basis must be square")
-        self.scale, self.basis_int = integer_form(self.basis)
-        self.det_int, self.adj_int = det_adj(self.basis_int)
-        if self.adj_int is None:
+        self.form = IntBasis.of(self.basis)
+        if self.form is None:
             raise InvalidInput("lattice basis must be nonsingular")
-        self._canonical: Optional[Mat] = None
 
     @property
     def dim(self) -> int:
@@ -82,12 +78,10 @@ class EucLattice:
     def columns(self) -> list[Vec]:
         return [tuple(row[j] for row in self.basis) for j in range(self.dim)]
 
-    @property
+    @cached_property
     def canonical_basis(self) -> Mat:
         """Hermite-reduced basis; equal lattices get equal matrices."""
-        if self._canonical is None:
-            self._canonical = hnf_rational(self.columns)
-        return self._canonical
+        return hnf_rational(self.columns)
 
     def same_lattice(self, other: "EucLattice") -> bool:
         return self.dim == other.dim and self.canonical_basis == other.canonical_basis
@@ -96,16 +90,7 @@ class EucLattice:
         column = tuple((x,) for x in v)
         if len(column) != self.dim:
             raise ValueError("vector dimension does not match the lattice")
-        return self._coordinates(column) is not None
-
-    def _coordinates(self, M) -> Optional[list[list[int]]]:
-        """B^-1·M = scale·adj·(e·M) / (e·det) in ints, or None if M is not in L."""
-        e, M_int = integer_form(M)
-        q, cols = e * self.det_int, list(zip(*M_int))
-        C = [[self.scale * sum(map(mul, row, col)) for col in cols] for row in self.adj_int]
-        if any(x % q for row in C for x in row):
-            return None
-        return [[x // q for x in row] for row in C]
+        return self.form.coordinates(column) is not None
 
     @classmethod
     def standard(cls, n: int) -> "EucLattice":
@@ -114,7 +99,7 @@ class EucLattice:
 
 def covolume(L: EucLattice) -> Fraction:
     """Measure of any fundamental domain: |det basis|."""
-    return abs(Fraction(L.det_int, L.scale ** L.dim))
+    return abs(L.form.det)
 
 
 def lattice_sum(L1: EucLattice, L2: EucLattice) -> EucLattice:
@@ -125,21 +110,17 @@ def lattice_sum(L1: EucLattice, L2: EucLattice) -> EucLattice:
 
 
 def lattice_intersection(L1: EucLattice, L2: EucLattice) -> EucLattice:
-    """Common sublattice, via duality: (L1 ^ L2)* = L1* + L2*."""
-    if L1.dim != L2.dim:
-        raise Incommensurable("lattices of different dimension")
-
-    def dual(L: EucLattice) -> EucLattice:
-        return EucLattice(transpose(mat_inv(L.basis)))
-
-    return EucLattice(hnf_rational(dual(lattice_sum(dual(L1), dual(L2))).columns))
+    """Common sublattice: S = L1 + L2 times the meet of their images in S."""
+    S = lattice_sum(L1, L2)
+    meet = integer_meet(_hnf_image(S, L1), _hnf_image(S, L2))
+    return EucLattice(hnf_rational(transpose(mat_mul(S.basis, meet))))
 
 
 def index(L_sub: EucLattice, L: EucLattice) -> int:
     """[L : L_sub], the covolume ratio, as an exact positive integer."""
     if L_sub.dim != L.dim:
         raise NotSublattice("lattices of different dimension")
-    if L._coordinates(L_sub.basis) is None:
+    if L.form.coordinates(L_sub.basis) is None:
         raise NotSublattice("first lattice is not contained in the second")
     return int(covolume(L_sub) / covolume(L))
 
@@ -202,12 +183,9 @@ def _reduce_vec(v: Sequence[int], H: Sequence[Sequence[int]]) -> tuple[int, ...]
     return tuple(v)
 
 
-def _integer_image(S: EucLattice, L: EucLattice) -> list[list[int]]:
-    """The integer matrix S^-1 * L: the basis of L <= S in S-coordinates."""
-    C = S._coordinates(L.basis)
-    if C is None:
-        raise NotSublattice("lattice not contained in the sum lattice")
-    return C
+def _hnf_image(S: EucLattice, L: EucLattice) -> list[list[int]]:
+    """HNF of S^-1·L, the image of L <= S in S-coordinates (L <= S always)."""
+    return hnf(S.form.coordinates(L.basis))
 
 
 # Most cells a lattice construction enumerates: five times the largest
@@ -237,13 +215,12 @@ class _CellSystem:
         if first_axis_split > 1:
             S = EucLattice([(row[0] / first_axis_split,) + row[1:] for row in S.basis])
         self.S = S
-        H = hnf(_integer_image(S, lattice_intersection(L1, L2)))
+        H1, H2 = _hnf_image(S, L1), _hnf_image(S, L2)
+        H = integer_meet(H1, H2)
         cells = prod(H[j][j] for j in range(S.dim))
         if cells > MAX_CELLS:
             raise TooLarge(f"{cells} cells exceed the budget of {MAX_CELLS}")
         self.reps = list(product(*[range(H[j][j]) for j in range(S.dim)]))
-        H1 = hnf(_integer_image(S, L1))
-        H2 = hnf(_integer_image(S, L2))
         self.left = [_reduce_vec(r, H1) for r in self.reps]
         self.right = [_reduce_vec(r, H2) for r in self.reps]
 
@@ -340,9 +317,8 @@ class TSComponent:
 
 
 def _image_lattice(vectors: Mat) -> EucLattice:
-    cols = [tuple(row[j] for row in vectors) for j in range(len(vectors[0]))]
     try:
-        return EucLattice(hnf_rational(cols))
+        return EucLattice(hnf_rational(transpose(vectors)))
     except ValueError as exc:
         raise InvalidInput(f"generator image is not a full-rank lattice: {exc}")
 
@@ -475,28 +451,25 @@ def boundary_count(
     basis of L) the counts come from the mod-L reduction of A, which
     tracks the translate each piece came from, so they are exact for any
     rational L. A custom X must share A's frame; then the translates are
-    enumerated directly by interval arithmetic.
+    enumerated directly by interval arithmetic. Both compare frame volumes.
     """
     if X is None:
         red = region_reduce_mod(A, L)
-        cell_measure = red.cell_measure
+        cell = box_volume(red.torus)
         per_shift: dict[tuple[int, ...], Fraction] = {}
         for piece, w in red.pieces:
             per_shift[w] = per_shift.get(w, Fraction(0)) + box_volume(piece)
-        scale = abs(det(red.frame))
         interior = boundary = 0
-        for w, vol in per_shift.items():
-            m = vol * scale
-            if m == cell_measure:
+        for vol in per_shift.values():
+            if vol == cell:
                 interior += 1
-            elif m > 0:
+            elif vol > 0:
                 boundary += 1
         return BoundaryCount(interior, boundary)
 
     if X.frame != A.frame:
         raise InvalidInput("a custom domain must share the frame of A")
-    F = A.frame
-    C = mat_mul(mat_inv(F), L.basis)
+    C = mat_mul(A.form.inverse(), L.basis)
     n = A.dim
     lo_a = [min(b[j][0] for b in A.boxes) for j in range(n)]
     hi_a = [max(b[j][1] for b in A.boxes) for j in range(n)]
@@ -505,21 +478,17 @@ def boundary_count(
     # frame-coordinate translation t = C z must put bbox(X)+t against bbox(A)
     t_lo = [lo_a[j] - hi_x[j] for j in range(n)]
     t_hi = [hi_a[j] - lo_x[j] for j in range(n)]
-    m_x = X.measure
-    scale = abs(det(F))
+    m_x = sum((box_volume(bx) for bx in X.boxes), Fraction(0))
     interior = boundary = 0
-    for z in product(*integer_ranges(mat_inv(C), t_lo, t_hi)):
+    for z in product(*integer_ranges(mat_mul(L.form.inverse(), A.frame), t_lo, t_hi)):
         t = mat_vec(C, tuple(Fraction(x) for x in z))
         m = Fraction(0)
         for bx in X.boxes:
             shifted = tuple((lo + t[j], hi + t[j]) for j, (lo, hi) in enumerate(bx))
             for ba in A.boxes:
                 if boxes_overlap(shifted, ba):
-                    v = Fraction(1)
-                    for (l1, h1), (l2, h2) in zip(shifted, ba):
-                        v *= min(h1, h2) - max(l1, l2)
-                    m += v
-        m *= scale
+                    m += box_volume(tuple((max(l1, l2), min(h1, h2))
+                                          for (l1, h1), (l2, h2) in zip(shifted, ba)))
         if m == m_x:
             interior += 1
         elif m > 0:

@@ -1,14 +1,17 @@
 """Exact rational vectors and matrices.
 
 Every coordinate, measure or weight is a Fraction, matrices are tuples of
-row tuples and vectors tuples; all operations are pure. Determinants and
-inverses come from one fraction-free kernel on integer forms, `det_adj`.
+row tuples and vectors tuples; all operations are pure. Determinants,
+inverses and lattice coordinates are read from a basis's integer form,
+`IntBasis`, built by one fraction-free kernel, `det_adj`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -75,24 +78,23 @@ def dot(u: Vec, v: Vec) -> Fraction:
 
 
 def det(a: Mat) -> Fraction:
-    """Determinant by `det_adj`, exact for any rational entries."""
+    """Determinant, exact for any rational entries, 0 when a is singular."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    d, m = integer_form(a)
-    return Fraction(det_adj(m)[0], d ** n)
+    form = IntBasis.of(a)
+    return Fraction(0) if form is None else form.det
 
 
 def mat_inv(a: Mat) -> Mat:
-    """Inverse by `det_adj`; raises ValueError on a singular matrix."""
+    """Inverse from `IntBasis`; raises ValueError on a singular matrix."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("inverse of a non-square matrix")
-    d, m = integer_form(a)
-    dm, adj = det_adj(m)
-    if adj is None:
+    form = IntBasis.of(a)
+    if form is None:
         raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(d * x, dm) for x in row) for row in adj)
+    return form.inverse()
 
 
 def integer_form(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -123,6 +125,62 @@ def det_adj(m) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
                 rows[r] = [(q * x - f * y) // p for x, y in zip(rows[r], top)]
         p = q
     return sign * p, tuple(tuple(sign * x for x in row[n:]) for row in rows)
+
+
+@dataclass(frozen=True)
+class IntBasis:
+    """Integer form of a nonsingular square rational matrix B: `rows` is
+    `scale`·B with `scale` the lcm of B's denominators, `det_int` = det rows
+    and `adj_int` = adj rows, so B^-1 = scale·adj_int / det_int."""
+
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
+    det_int: int
+    adj_int: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, a) -> Optional["IntBasis"]:
+        """The form of the square matrix a, or None when a is singular."""
+        scale, rows = integer_form(a)
+        d, adj = det_adj(rows)
+        return None if adj is None else cls(scale, rows, d, adj)
+
+    @property
+    def det(self) -> Fraction:
+        return Fraction(self.det_int, self.scale ** len(self.rows))
+
+    def solve(self, M) -> tuple[list[list[int]], int]:
+        """B^-1·M = scale·adj·(e·M) / (e·det), e·M integral, as integer
+        numerators over one positive denominator."""
+        e, M_int = integer_form(M)
+        if len(M_int) != len(self.rows):
+            raise ValueError("shape mismatch")
+        q, cols = e * self.det_int, list(zip(*M_int))
+        s = self.scale if q > 0 else -self.scale
+        return [[s * sum(map(mul, row, col)) for col in cols] for row in self.adj_int], abs(q)
+
+    def inverse(self) -> Mat:
+        N, q = self.solve(identity(len(self.rows)))
+        return tuple(tuple(Fraction(x, q) for x in row) for row in N)
+
+    def coordinates(self, M) -> Optional[list[list[int]]]:
+        """The integer matrix B^-1·M, or None when M is not in B's lattice."""
+        N, q = self.solve(M)
+        if any(x % q for row in N for x in row):
+            return None
+        return [[x // q for x in row] for row in N]
+
+
+def integer_meet(H1, H2) -> list[list[int]]:
+    """HNF of the meet of the column lattices L1, L2 of two nonsingular
+    integer matrices, by duality: L* = adj(K)^T / det K, and D·(L1* + L2*)
+    with D = lcm(det H1, det H2) has an integer HNF G; L1 ^ L2 = D·G^-T."""
+    n = len(H1)
+    (d1, a1), (d2, a2) = det_adj(H1), det_adj(H2)
+    D = lcm(d1, d2)
+    dg, ag = det_adj(hnf([[D // d1 * a1[j][i] for j in range(n)]
+                          + [D // d2 * a2[j][i] for j in range(n)] for i in range(n)]))
+    return hnf([[D * ag[j][i] // dg for j in range(n)] for i in range(n)])
 
 
 def denominator_lcm(xs: Iterable[Fraction]) -> int:
@@ -214,16 +272,15 @@ def floor_frac(x: Fraction) -> int:
     return Fraction(x).numerator // Fraction(x).denominator
 
 
+def interval_image(M: Mat, lo: Sequence[Fraction], hi: Sequence[Fraction]) -> tuple[list, list]:
+    """Per row i of M, the least and the greatest value of (M t)_i over
+    the box lo <= t <= hi, by interval arithmetic."""
+    ends = [[sorted((m * l, m * h)) for m, l, h in zip(row, lo, hi)] for row in M]
+    return ([sum((e[0] for e in row), Fraction(0)) for row in ends],
+            [sum((e[1] for e in row), Fraction(0)) for row in ends])
+
+
 def integer_ranges(M: Mat, lo: Sequence[Fraction], hi: Sequence[Fraction]) -> list[range]:
-    """Per row i of M, the integers between the least and the greatest
-    value of (M t)_i over the box lo <= t <= hi, by interval arithmetic.
+    """Per row i of M, the integers of `interval_image`'s interval i.
     Every integer vector M t with t in the box lies in their product."""
-    out = []
-    for row in M:
-        a = b = Fraction(0)
-        for m, l, h in zip(row, lo, hi):
-            x, y = m * l, m * h
-            a += min(x, y)
-            b += max(x, y)
-        out.append(range(-floor_frac(-a), floor_frac(b) + 1))
-    return out
+    return [range(-floor_frac(-a), floor_frac(b) + 1) for a, b in zip(*interval_image(M, lo, hi))]

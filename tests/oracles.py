@@ -172,6 +172,19 @@ def fraction_index(sub_basis, basis):
     return abs(fraction_det(C))
 
 
+def fraction_lattice_intersection(basis1, basis2):
+    """Canonical basis of L1 ^ L2 by duality, (L1 ^ L2)* = L1* + L2*: the
+    dual of the lattice of B has basis B^-T, whose columns are the rows of
+    the Fraction inverse of B."""
+    from tessella.linalg import hnf_rational
+
+    def dual_columns(basis):
+        return [tuple(row) for row in fraction_inverse(basis)]
+
+    dual_sum = hnf_rational(dual_columns(basis1) + dual_columns(basis2))
+    return hnf_rational(dual_columns(dual_sum))
+
+
 def lattice_points_in_box(basis_cols, lo, hi):
     """All lattice points inside a closed coordinate box, by scanning an
     integer coefficient range large enough to cover it."""

@@ -237,6 +237,40 @@ def test_overlap_check_matches_all_pairs(boxes):
         assert expected is None
 
 
+@given(sheared_regions(), st.lists(st.tuples(small, small, small), max_size=4))
+def test_measure_and_contains_match_fraction_reference(case, offsets):
+    frame, boxes, _ = case
+    kept = [b for i, b in enumerate(boxes) if not any(boxes_overlap(b, c) for c in boxes[:i])]
+    R = FrameRegion(frame, tuple(kept))
+    volume = sum((box_volume(b) for b in kept), Fraction(0))
+    assert R.measure == abs(oracles.fraction_det(frame)) * volume
+    inverse = oracles.fraction_inverse(frame)
+    # box corners and centres (on and inside faces), moved by small offsets
+    n = len(frame)
+    for b in kept:
+        for coords in ([lo for lo, _ in b], [hi for _, hi in b], list(box_center(b))):
+            for off in [(0,) * n] + [o[:n] for o in offsets]:
+                point = mat_vec(frame, tuple(c + d for c, d in zip(coords, off)))
+                local = [sum((a * x for a, x in zip(row, point)), Fraction(0)) for row in inverse]
+                want = any(all(lo <= c < hi for c, (lo, hi) in zip(local, bx)) for bx in kept)
+                assert R.contains(point) == want
+
+
+def test_reduce_mod_refuses_a_basis_of_the_wrong_shape():
+    R = FrameRegion(identity(2), (make_box([0, 0], [1, 1]),))
+    with pytest.raises(InvalidInput, match="dimension"):
+        reduce_mod(R, mat([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(InvalidInput, match="dimension"):
+        reduce_mod(R, mat([[1, 0], [0, 1], [0, 0]]))
+
+
+def test_reduce_mod_refuses_a_singular_basis():
+    R = FrameRegion(mat([["1/2", 1], [0, 1]]), (make_box([0, 0], [1, 1]),))
+    for basis in ([[1, 2], [2, 4]], [[0, 0], [0, 1]]):
+        with pytest.raises(InvalidInput, match="nonsingular"):
+            reduce_mod(R, mat(basis))
+
+
 @given(sheared_regions())
 def test_reduce_pieces_reconstruct_region(case):
     # a piece lies in refined-frame coordinates and its tag counts cell_basis

@@ -38,7 +38,7 @@ from tessella.lattices import (
     verify_packing_exact,
     verify_tiling_exact,
 )
-from tessella.linalg import det, identity, mat, mat_mul, mat_vec
+from tessella.linalg import det, hnf, identity, integer_meet, mat, mat_mul, mat_vec
 from tessella.sampling import DyadicSampler
 
 import oracles
@@ -149,6 +149,23 @@ def test_index_equals_fraction_reference(args):
         else:
             got = index(sub, lat)
             assert type(got) is int and got == want
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    rational_lattices(n), rational_lattices(n))), st.integers(1, 3))
+def test_integer_meet_equals_dual_formula(pair, split):
+    l1, l2 = pair
+    want = oracles.fraction_lattice_intersection(l1.basis, l2.basis)
+    assert lattice_intersection(l1, l2).basis == want
+    # in the coordinates of the sum, refined along its first axis as the
+    # cell system refines it, the meet of the images is the image of the
+    # intersection, whether the images are Hermite-reduced or not
+    S = lattice_sum(l1, l2)
+    S = EucLattice([(row[0] / split,) + row[1:] for row in S.basis])
+    K1, K2 = S.form.coordinates(l1.basis), S.form.coordinates(l2.basis)
+    image = hnf(S.form.coordinates(want))
+    assert integer_meet(hnf(K1), hnf(K2)) == image
+    assert integer_meet(K1, K2) == image
 
 
 def test_contains_refuses_wrong_length():

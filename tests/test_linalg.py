@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from tessella.linalg import (
+    IntBasis,
     denominator_lcm,
     det,
     det_adj,
@@ -165,6 +166,58 @@ def test_integer_form_is_least_scale(rows):
     assert all(x * d == y for row, irow in zip(rows, m) for x, y in zip(row, irow))
     for k in range(1, d):
         assert any((x * k).denominator != 1 for row in rows for x in row)
+
+
+@st.composite
+def rational_bases(draw):
+    """Nonsingular n x n matrices, n = 1..3, with entries of mixed
+    denominators; the first row's sign is drawn, so either sign of the
+    determinant is as likely."""
+    n = draw(st.integers(1, 3))
+    entry = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 4, 6]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n,
+                         max_size=n).filter(lambda r: oracles.fraction_det(r) != 0))
+    sign = draw(st.sampled_from([1, -1]))
+    return [[sign * x for x in rows[0]]] + rows[1:]
+
+
+@given(rational_bases().flatmap(lambda b: st.tuples(
+    st.just(b),
+    st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+             min_size=len(b), max_size=len(b)),
+    st.lists(st.lists(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+                      min_size=2, max_size=2), min_size=len(b), max_size=len(b)))))
+def test_int_basis_matches_fraction_reference(case):
+    basis, z, shift = case
+    form = IntBasis.of(basis)
+    assert form.det == oracles.fraction_det(basis)
+    assert form.inverse() == tuple(map(tuple, oracles.fraction_inverse(basis)))
+    # M = B z lies in the lattice; M + shift does exactly when B^-1 shift
+    # is integral, which a non-integral shift usually breaks
+    inside = mat_mul(mat(basis), mat(z))
+    for M in (inside, tuple(tuple(x + y for x, y in zip(r, t)) for r, t in zip(inside, shift))):
+        want = [[sum((a * M[k][j] for k, a in enumerate(row)), Fraction(0)) for j in range(2)]
+                for row in oracles.fraction_inverse(basis)]
+        N, q = form.solve(M)
+        assert q > 0 and [[Fraction(x, q) for x in row] for row in N] == want
+        if all(x.denominator == 1 for row in want for x in row):
+            assert form.coordinates(M) == [[int(x) for x in row] for row in want]
+        else:
+            assert form.coordinates(M) is None
+    assert form.coordinates(inside) == [list(row) for row in z]
+
+
+def test_int_basis_frozen_values():
+    # det -1/2, mixed denominators: B^-1 = [[0, 1], [2, 0]]
+    form = IntBasis.of([["0", "1/2"], ["1", "0"]])
+    assert (form.scale, form.rows, form.det_int) == (2, ((0, 1), (2, 0)), -2)
+    assert form.det == Fraction(-1, 2)
+    assert form.inverse() == ((0, 1), (2, 0))
+    assert form.coordinates([["1/2"], [0]]) == [[0], [1]]
+    assert form.coordinates([["1/4"], [0]]) is None
+    assert IntBasis.of([[1, 2], [2, 4]]) is None
+    with pytest.raises(ValueError, match="shape"):
+        form.solve([[1]])
 
 
 def test_hnf_frozen_shape():
