@@ -49,8 +49,9 @@ class InvalidAlpha(TessellaError):
 
 class TooLarge(TessellaError):
     """Request exceeds a size budget checked before the work starts: the
-    atom bound of the brute-force oracle, or the cell budget of the
-    lattice constructions (CLI exit 4)."""
+    atom bound of the brute-force oracle, the cell budget of the lattice
+    constructions, the translate tests of a Heisenberg Monte Carlo run,
+    or the pieces and cover cells of a box reduction (CLI exit 4)."""
 
 
 class Incommensurable(TessellaError):

@@ -136,22 +136,23 @@ def region_reduce_mod(R: FrameRegion, L: EucLattice) -> ReducedRegion:
     return reduce_mod(R, L.basis)
 
 
-def _witness_point(reduced: ReducedRegion, cell: Box) -> list[Fraction]:
-    return list(mat_vec(reduced.frame, box_center(cell)))
+def _witness_point(reduced: ReducedRegion, cell) -> list[Fraction]:
+    """The ambient centre of a grid cell of the reduction."""
+    return list(mat_vec(reduced.frame, box_center(reduced.as_fractions(cell))))
 
 
 def _multiplicity_check(R: FrameRegion, L: EucLattice, exact: bool) -> VerifyResult:
     """Reduce R modulo L; fail on a point of the least multiplicity >= 2,
-    or, when exact, on an uncovered point (multiplicity 0)."""
+    or, when exact, on an uncovered point (multiplicity 0). Only the
+    witness cell leaves the integer grid."""
     red = region_reduce_mod(R, L)
-    for m in sorted(red.levels):
+    for m, cells in red.grid_levels.items():
         if m >= 2:
-            cell = red.levels[m][0]
             return VerifyResult(False, {
-                "point": _witness_point(red, cell), "multiplicity": m})
-    if exact and red.uncovered:
+                "point": _witness_point(red, cells[0]), "multiplicity": m})
+    if exact and red.grid_uncovered:
         return VerifyResult(False, {
-            "point": _witness_point(red, red.uncovered[0]), "multiplicity": 0})
+            "point": _witness_point(red, red.grid_uncovered[0]), "multiplicity": 0})
     return VerifyResult(True)
 
 
@@ -450,15 +451,16 @@ def boundary_count(
     With the default X (the fundamental parallelepiped of the reduction
     basis of L) the counts come from the mod-L reduction of A, which
     tracks the translate each piece came from, so they are exact for any
-    rational L. A custom X must share A's frame; then the translates are
+    rational L; each translate's volume is summed on the reduction's
+    integer grid. A custom X must share A's frame; then the translates are
     enumerated directly by interval arithmetic. Both compare frame volumes.
     """
     if X is None:
         red = region_reduce_mod(A, L)
-        cell = box_volume(red.torus)
-        per_shift: dict[tuple[int, ...], Fraction] = {}
-        for piece, w in red.pieces:
-            per_shift[w] = per_shift.get(w, Fraction(0)) + box_volume(piece)
+        cell = prod(hi for _, hi in red.grid_torus)
+        per_shift: dict[tuple[int, ...], int] = {}
+        for piece, w in red.grid_pieces:
+            per_shift[w] = per_shift.get(w, 0) + prod(hi - lo for lo, hi in piece)
         interior = boundary = 0
         for vol in per_shift.values():
             if vol == cell:

@@ -481,8 +481,10 @@ def fraction_mc_verify_tiling(candidate, action, window, samples, seed):
 
 
 # ------------------------------------------------------------ box regions
-# The all-pairs overlap scan and the Fraction cut-and-translate that
-# `tessella.boxes` replaced with integer grids; kept as references.
+# The all-pairs overlap scan, the Fraction cut-and-translate and the
+# Fraction boundary count that `tessella.boxes` and `tessella.lattices`
+# replaced with integer grids, and the cell-by-cell cover enumeration;
+# kept as references.
 
 
 def all_pairs_overlap_message(boxes):
@@ -497,11 +499,56 @@ def all_pairs_overlap_message(boxes):
     return None
 
 
+def cell_by_cell_cover(pieces, bounds):
+    """`compressed_cover` building each cell's tuple and flat index one
+    cell at a time, with one prefix-sum step per array entry."""
+    from bisect import bisect_left
+
+    n = len(bounds)
+    cuts = []
+    for j in range(n):
+        vals = {bounds[j][0], bounds[j][1]}
+        for bx, _ in pieces:
+            vals.add(bx[j][0])
+            vals.add(bx[j][1])
+        cuts.append(sorted(vals))
+    dims = [len(c) - 1 for c in cuts]
+    strides = [0] * n
+    acc = 1
+    for j in reversed(range(n)):
+        strides[j] = acc
+        acc *= dims[j] + 1
+    shape = [d + 1 for d in dims]
+    diff = [0] * acc
+    for bx, weight in pieces:
+        a = [bisect_left(cuts[j], bx[j][0]) for j in range(n)]
+        b = [bisect_left(cuts[j], bx[j][1]) for j in range(n)]
+        for corner in product(*[(0, 1)] * n):
+            idx = sum((b[j] if corner[j] else a[j]) * strides[j] for j in range(n))
+            diff[idx] = diff[idx] + (-weight if sum(corner) % 2 else weight)
+    for j in range(n):
+        step = strides[j]
+        for o in range(acc // shape[j]):
+            base = (o // step) * (shape[j] * step) + (o % step)
+            run = 0
+            for i in range(shape[j]):
+                run = run + diff[base + i * step]
+                diff[base + i * step] = run
+    for cell_idx in product(*[range(d) for d in dims]):
+        flat = sum(cell_idx[j] * strides[j] for j in range(n))
+        cell = tuple(
+            (cuts[j][cell_idx[j]], cuts[j][cell_idx[j] + 1]) for j in range(n)
+        )
+        yield cell, diff[flat]
+
+
 def fraction_reduce_mod(region, basis):
     """`reduce_mod` with every coordinate a Fraction: cut each box at the
     multiples of H[j][j], translate the pieces, and count the cover with
-    `compressed_cover` on Fraction corners."""
-    from tessella.boxes import ReducedRegion, compressed_cover
+    `cell_by_cell_cover` on Fraction corners. Returns the Fraction fields
+    of `ReducedRegion` as a namespace."""
+    from types import SimpleNamespace
+
     from tessella.linalg import denominator_lcm, floor_frac, hnf, mat, mat_inv, mat_mul
 
     B = region.frame
@@ -543,12 +590,12 @@ def fraction_reduce_mod(region, basis):
     )
     levels = {}
     uncovered = []
-    for cell, count in compressed_cover([(bx, 1) for bx, _ in frozen_pieces], torus):
+    for cell, count in cell_by_cell_cover([(bx, 1) for bx, _ in frozen_pieces], torus):
         if count == 0:
             uncovered.append(cell)
         else:
             levels.setdefault(count, []).append(cell)
-    return ReducedRegion(
+    return SimpleNamespace(
         frame=refined,
         torus=torus,
         levels={m: tuple(cells) for m, cells in sorted(levels.items())},
@@ -556,6 +603,38 @@ def fraction_reduce_mod(region, basis):
         pieces=frozen_pieces,
         cell_basis=mat_mul(refined, tuple(tuple(map(Fraction, row)) for row in H)),
     )
+
+
+def fraction_boundary_count(red):
+    """(interior, boundary) of `boundary_count(L, A)` with the default
+    domain, from red = `fraction_reduce_mod(A, L.basis)`: each translate's
+    Fraction piece volumes are summed and compared with the torus volume."""
+    from tessella.boxes import box_volume
+
+    cell = box_volume(red.torus)
+    per_shift = {}
+    for piece, w in red.pieces:
+        per_shift[w] = per_shift.get(w, Fraction(0)) + box_volume(piece)
+    interior = sum(1 for vol in per_shift.values() if vol == cell)
+    boundary = sum(1 for vol in per_shift.values() if 0 < vol != cell)
+    return interior, boundary
+
+
+def fraction_multiplicity_witness(red, exact):
+    """The witness `verify_tiling_exact` (exact) or `verify_packing_exact`
+    reports, read from the Fraction levels of `fraction_reduce_mod`'s
+    result: the centre of the first cell of the least multiplicity >= 2,
+    else, when exact, of the first uncovered cell; None when neither."""
+    from tessella.boxes import box_center
+    from tessella.linalg import mat_vec
+
+    cells = [(m, red.levels[m][0]) for m in sorted(red.levels) if m >= 2]
+    if exact and red.uncovered:
+        cells.append((0, red.uncovered[0]))
+    if not cells:
+        return None
+    m, cell = cells[0]
+    return {"point": list(mat_vec(red.frame, box_center(cell))), "multiplicity": m}
 
 
 # --------------------------------------------------------- Dirichlet cells

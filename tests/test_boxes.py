@@ -13,7 +13,14 @@ from tessella.boxes import (
     make_box,
     reduce_mod,
 )
-from tessella.errors import InvalidInput
+from tessella.errors import InvalidInput, TooLarge
+from tessella.lattices import (
+    BoundaryCount,
+    EucLattice,
+    boundary_count,
+    verify_packing_exact,
+    verify_tiling_exact,
+)
 from tessella.linalg import identity, mat, mat_vec
 
 import oracles
@@ -308,3 +315,85 @@ def test_reduce_mod_matches_fraction_reference(case):
     assert all(isinstance(x, Fraction)
                for cells in (got.uncovered, *got.levels.values())
                for cell in cells for iv in cell for x in iv)
+
+
+def _disjoint(boxes):
+    return [b for i, b in enumerate(boxes) if not any(boxes_overlap(b, c) for c in boxes[:i])]
+
+
+@st.composite
+def weighted_pieces(draw):
+    """Bounds and up to 5 weighted pieces in 1 to 3 dimensions, with int
+    or Fraction corners and weights; pieces may overlap each other."""
+    n = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+    def box():
+        ends = [sorted(draw(st.lists(value, min_size=2, max_size=2, unique=True)))
+                for _ in range(n)]
+        return tuple((lo, hi) for lo, hi in ends)
+
+    weight = st.one_of(st.integers(-2, 3), st.fractions(-2, 3, max_denominator=5))
+    return [(box(), draw(weight)) for _ in range(draw(st.integers(0, 5)))], box()
+
+
+@settings(max_examples=30)
+@given(weighted_pieces())
+def test_compressed_cover_matches_cell_by_cell_reference(case):
+    pieces, bounds = case
+    got = list(compressed_cover(pieces, bounds))
+    want = list(oracles.cell_by_cell_cover(pieces, bounds))
+    assert got == want
+    assert [type(w) for _, w in got] == [type(w) for _, w in want]
+
+
+@st.composite
+def covered_twice_or_not(draw):
+    """A sheared case whose region may also hold a copy of its first box
+    moved by a lattice vector, which covers that box's points twice
+    modulo the lattice."""
+    frame, boxes_, basis = draw(sheared_regions())
+    n = len(frame)
+    z = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    if any(z) and draw(st.booleans()):
+        # the lattice vector basis·z in frame coordinates
+        t = mat_vec(oracles.fraction_inverse(frame), mat_vec(basis, z))
+        boxes_ = list(boxes_) + [tuple((lo + d, hi + d) for (lo, hi), d in zip(boxes_[0], t))]
+    return frame, tuple(_disjoint(boxes_)), basis
+
+
+@settings(max_examples=40)
+@given(covered_twice_or_not())
+def test_witnesses_and_boundary_counts_match_fraction_levels(case):
+    # regions with gaps, double covers or both; the tiling and packing
+    # witnesses and the boundary count are read from one Fraction reduction
+    frame, boxes_, basis = case
+    R = FrameRegion(frame, boxes_)
+    L = EucLattice(basis)
+    red = oracles.fraction_reduce_mod(R, basis)
+    for check, exact in ((verify_tiling_exact, True), (verify_packing_exact, False)):
+        got = check(R, L)
+        want = oracles.fraction_multiplicity_witness(red, exact)
+        assert got.ok == (want is None)
+        assert got.witness == want
+    assert boundary_count(L, R) == BoundaryCount(*oracles.fraction_boundary_count(red))
+
+
+def test_reduce_mod_refuses_pieces_over_the_budget():
+    # one long box cut at every unit of Z^2: 10^7 pieces
+    R = FrameRegion(identity(2), (make_box([0, 0], [10_000_000, 1]),))
+    with pytest.raises(TooLarge, match="^up to 10000000 pieces exceed the budget of"):
+        reduce_mod(R, identity(2))
+
+
+def test_reduce_mod_refuses_a_cover_over_the_budget():
+    # 600 disjoint squares with distinct fractional corners cut the unit
+    # torus of Z^2 at 1200 points on each axis
+    squares = [make_box([2 * k + Fraction(k, 1201), Fraction(k, 1201)],
+                        [2 * k + Fraction(k + 600, 1201), Fraction(k + 600, 1201)])
+               for k in range(600)]
+    R = FrameRegion(identity(2), tuple(squares))
+    with pytest.raises(TooLarge, match="cover cells exceed the budget of"):
+        reduce_mod(R, identity(2))
+    with pytest.raises(TooLarge, match="cover cells exceed the budget of"):
+        verify_tiling_exact(R, EucLattice.standard(2))

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from tessella.boxes import MAX_PIECES
 from tessella.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -415,4 +416,25 @@ def test_mc_verify_over_the_translate_budget_exits_4(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: 2000 samples of up to 20004 translate tests "
                             "each exceed the budget of 800000\n")
+    assert elapsed < 1.0
+
+
+def test_verify_over_the_piece_budget_exits_4(tmp_path, capsys):
+    # the long box meets 10^7 unit cells of Z^2 and the short one 1
+    doc = {"schema": "tessella-euclidean/1",
+           "lattice": {"dim": 2, "basis": [["1", "0"], ["0", "1"]]},
+           "region": {"frame": [["1", "0"], ["0", "1"]],
+                      "boxes": [{"lo": ["0", "0"], "hi": ["10000000", "1"]},
+                                {"lo": ["0", "1"], "hi": ["1", "2"]}]},
+           "mode": "tiling"}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.monotonic()
+    code = main(["verify", str(path)])
+    elapsed = time.monotonic() - t0
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == (f"error: up to 10000001 pieces exceed the budget of "
+                            f"{MAX_PIECES}\n")
     assert elapsed < 1.0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tessella.boxes import FrameRegion, box_volume, make_box
+from tessella.boxes import MAX_COVER_CELLS, MAX_PIECES, FrameRegion, box_volume, make_box
 from tessella.errors import (
     ConditionFails,
     CovolumeMismatch,
@@ -659,6 +659,19 @@ def test_common_domain_at_the_cell_budget_edge():
     assert D.measure == 1 and len(D.boxes) == 87
     assert verify_tiling_exact(D, tall).ok
     assert verify_tiling_exact(D, EucLattice.standard(2)).ok
+
+
+def test_reduction_budgets_admit_every_cell_union_of_a_construction():
+    # A construction verifies unions of at most MAX_CELLS unit cells of S
+    # against lattices L <= S: each cell is one piece of the reduction,
+    # and the cover has [S : L] <= MAX_CELLS cells. The largest: a row of
+    # MAX_CELLS cells against diag(MAX_CELLS, 1, 1, 1), whose difference
+    # array has 2^3 (MAX_CELLS + 1) entries.
+    assert MAX_CELLS <= MAX_PIECES and MAX_CELLS <= MAX_COVER_CELLS
+    R = FrameRegion(identity(4), tuple(make_box([r, 0, 0, 0], [r + 1, 1, 1, 1])
+                                       for r in range(MAX_CELLS)))
+    basis = [[MAX_CELLS if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    assert verify_tiling_exact(R, EucLattice(basis)).ok
 
 
 def random_basis(rng, n, top, den):
