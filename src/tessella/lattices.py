@@ -132,8 +132,16 @@ def fundamental_parallelepiped(L: EucLattice) -> FrameRegion:
 
 
 def region_reduce_mod(R: FrameRegion, L: EucLattice) -> ReducedRegion:
-    """R modulo L: multiplicity levels on a fundamental torus of L."""
-    return reduce_mod(R, L.basis)
+    """R modulo L: multiplicity levels on a fundamental torus of L.
+
+    R keeps its last reduction, in one slot keyed by the basis of L
+    compared by value, so the tiling and packing verdicts on one region
+    and lattice reduce once. The slot lives and dies with R."""
+    basis, reduced = R._reduction
+    if basis != L.basis:
+        reduced = reduce_mod(R, L.basis)
+        object.__setattr__(R, "_reduction", (L.basis, reduced))
+    return reduced
 
 
 def _witness_point(reduced: ReducedRegion, cell) -> list[Fraction]:

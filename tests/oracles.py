@@ -499,6 +499,32 @@ def all_pairs_overlap_message(boxes):
     return None
 
 
+def fraction_region_boxes(n, boxes):
+    """The Fraction boxes of an n-dimensional FrameRegion, built the way
+    the region once was: each box through `frac`, box by box, with every
+    check in the region's order; raises what the region raises."""
+    from tessella.errors import InvalidInput
+    from tessella.linalg import frac
+
+    out = []
+    for b in boxes:
+        lo = [x[0] for x in b]
+        hi = [x[1] for x in b]
+        lo = [frac(x) for x in lo]
+        hi = [frac(x) for x in hi]
+        if len(lo) != len(hi):
+            raise InvalidInput("box corner dimensions differ")
+        if any(a >= b for a, b in zip(lo, hi)):
+            raise InvalidInput("box needs lo < hi on every axis")
+        out.append(tuple(zip(lo, hi)))
+    if any(len(b) != n for b in out):
+        raise InvalidInput("box dimension does not match the frame")
+    message = all_pairs_overlap_message(out)
+    if message is not None:
+        raise InvalidInput(message)
+    return tuple(out)
+
+
 def cell_by_cell_cover(pieces, bounds):
     """`compressed_cover` building each cell's tuple and flat index one
     cell at a time, with one prefix-sum step per array entry."""

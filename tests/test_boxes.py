@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tessella.boxes import (
     FrameRegion,
@@ -11,6 +11,7 @@ from tessella.boxes import (
     boxes_overlap,
     compressed_cover,
     make_box,
+    ratio,
     reduce_mod,
 )
 from tessella.errors import InvalidInput, TooLarge
@@ -21,7 +22,7 @@ from tessella.lattices import (
     verify_packing_exact,
     verify_tiling_exact,
 )
-from tessella.linalg import identity, mat, mat_vec
+from tessella.linalg import frac, identity, mat, mat_vec
 
 import oracles
 
@@ -397,3 +398,189 @@ def test_reduce_mod_refuses_a_cover_over_the_budget():
         reduce_mod(R, identity(2))
     with pytest.raises(TooLarge, match="cover cells exceed the budget of"):
         verify_tiling_exact(R, EucLattice.standard(2))
+
+
+# ------------------------------------------------- corners read as int pairs
+
+
+def _outcome(parse, x):
+    """(numerator, denominator) of parse(x), or the type and message of
+    what it raises."""
+    try:
+        value = parse(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (value.numerator, value.denominator) if isinstance(value, Fraction) else value
+
+
+_digits = st.lists(st.sampled_from(list("0123456789") + ["\u0663", "\uff15", "\u00b2"]),
+                   max_size=3).map("".join)
+corner_strings = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", " ", "\t", "\n ", "\u3000"]),
+    st.sampled_from(["", "-", "+", "--", "+-"]),
+    _digits,
+    st.sampled_from(["", "_"]),  # 1_000
+    _digits,
+    st.sampled_from(["", "."]),
+    _digits,
+    st.sampled_from(["", "e", "E-", "e+"]),
+    _digits,
+    st.sampled_from(["", "/", "/-", "/+", " /", "/_"]),  # p/0, 1/-2
+    _digits,
+    st.sampled_from(["", " ", "\r\n", "\u2003"]),
+)
+
+
+@settings(max_examples=400)
+@given(st.one_of(corner_strings, st.from_regex(r"\s*-?[0-9]{1,4}(/[0-9]{1,3})?\s*", fullmatch=True),
+                 st.text(max_size=6), st.booleans(), st.integers(), st.floats(),
+                 st.fractions(), st.none()))
+@example("2/4")
+@example(" -0 ")
+@example("-12/8")
+@example("1/0")
+@example("1/-2")
+@example("\u0663/4")
+def test_corner_ratio_matches_frac(x):
+    assert _outcome(ratio, x) == _outcome(frac, x)
+
+
+def test_region_identity_reads_the_grid():
+    # "2/4", Fraction(1, 2) and ints of the same values build one region
+    frame = identity(2)
+    regions = [FrameRegion(frame, ((("2/4", " 6/4 "), ("-4/2", "3")),)),
+               FrameRegion(frame, (((Fraction(1, 2), Fraction(3, 2)),
+                                    (Fraction(-2), Fraction(3))),)),
+               FrameRegion(frame, ((("1/2", Fraction(3, 2)), (-2, 3)),))]
+    assert regions[0] == regions[1] == regions[2]
+    assert len({hash(R) for R in regions}) == 1
+    assert regions[0].boxes == (make_box(["1/2", -2], ["3/2", 3]),)
+    assert regions[0].measure == 5
+    assert regions[0] != FrameRegion(frame, ((("1/2", 2), (-2, 3)),))
+    assert regions[0] != FrameRegion(mat([[2, 0], [0, 1]]), regions[0].boxes)
+    # a box given as a one-shot iterator yields its low corners only
+    with pytest.raises(InvalidInput, match="^box corner dimensions differ$"):
+        FrameRegion(frame, (iter([(0, 1), (0, 1)]),))
+
+
+_good = st.sampled_from([0, 1, -1, 2, "1/2", "2/4", " 3/2 ", "-0", "4/2", "-7/3",
+                         Fraction(1, 3), Fraction(5, 2)])
+_bad = st.sampled_from(["1/0", "x", "1.5", "1_0", "1/-2", True, 0.5, None])
+
+
+@st.composite
+def regions_with_faults(draw):
+    """A dimension and one to four boxes of valid, often overlapping,
+    corners, with up to three faults injected into them: an unreadable
+    corner, lo > hi or lo = hi on an axis, or an axis too many or too
+    few."""
+    n = draw(st.integers(1, 3))
+    boxes = [[sorted(draw(st.lists(_good, min_size=2, max_size=2, unique_by=frac)), key=frac)
+              for _ in range(n)]
+             for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        box = draw(st.sampled_from(boxes))
+        axis = draw(st.integers(0, len(box) - 1))
+        fault = draw(st.sampled_from(["corner", "order", "empty", "dimension"]))
+        if fault == "corner":
+            box[axis][draw(st.integers(0, 1))] = draw(_bad)
+        elif fault == "order":
+            box[axis].reverse()
+        elif fault == "empty":
+            box[axis][1] = box[axis][0]
+        elif len(box) > 1 and draw(st.booleans()):
+            box.pop(axis)
+        else:
+            box.append(["0", "1"])
+    return n, tuple(tuple(map(tuple, b)) for b in boxes)
+
+
+@settings(max_examples=200)
+@given(regions_with_faults())
+def test_region_build_matches_the_fraction_build(case):
+    # the same boxes, measure and identity as a build through frac, or
+    # the same first error
+    n, boxes = case
+    frame = tuple(tuple(Fraction(3, 2) if i == j else Fraction(int(i < j)) for j in range(n))
+                  for i in range(n))
+    try:
+        want = oracles.fraction_region_boxes(n, boxes)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            FrameRegion(frame, boxes)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    R = FrameRegion(frame, boxes)
+    assert R.boxes == want
+    assert R.measure == Fraction(3, 2) ** n * sum((box_volume(b) for b in want), Fraction(0))
+    same = FrameRegion(frame, want)
+    assert R == same and hash(R) == hash(same)
+
+
+@pytest.mark.parametrize("boxes, error, message", [
+    # the low corners are read before the high ones
+    ((((0, "x"), ("1/0", 1)),), ZeroDivisionError, "Fraction(1, 0)"),
+    # a box is read whole before its order is checked
+    ((((0, "1/0"), (1, 1)),), ZeroDivisionError, "Fraction(1, 0)"),
+    # equal values in different spellings make an empty axis
+    ((((0, 1), ("2/4", "1/2")),), InvalidInput, "box needs lo < hi on every axis"),
+    # box by box: the order of box 0 before the corners of box 1
+    ((((1, 0), (0, 1)), ((0, "x"), (0, 1))), InvalidInput,
+     "box needs lo < hi on every axis"),
+    # the dimension is checked once every box is read
+    ((((0, 1), (0, 1), (0, 1)), ((1, 0), (0, 1))), InvalidInput,
+     "box needs lo < hi on every axis"),
+    ((((0, 1), (0, 1), (0, 1)), ((0, 2), (0, 2)), ((1, 3), (1, 3))), InvalidInput,
+     "box dimension does not match the frame"),
+    ((((0, 2), (0, 2)), ((1, 3), (1, 3))), InvalidInput, "boxes 0 and 1 overlap"),
+])
+def test_region_raises_the_first_error_of_the_fraction_build(boxes, error, message):
+    for build in (lambda: FrameRegion(identity(2), boxes),
+                  lambda: oracles.fraction_region_boxes(2, boxes)):
+        with pytest.raises(error) as got:
+            build()
+        assert type(got.value) is error and str(got.value) == message
+
+
+def domino_layout(rng, side, flips):
+    """A domino tiling of the side x side square: rows of horizontal
+    dominoes, then `flips` random turns of a 2 x 2 square covered by two
+    parallel dominoes, in random order."""
+    owner, dominoes = {}, []
+    for y in range(side):
+        for x in range(0, side, 2):
+            owner[x, y] = owner[x + 1, y] = len(dominoes)
+            dominoes.append(((x, y), (x + 1, y)))
+    for _ in range(flips):
+        x, y = rng.randrange(side - 1), rng.randrange(side - 1)
+        a, b, c, d = owner[x, y], owner[x + 1, y], owner[x, y + 1], owner[x + 1, y + 1]
+        if a == b and c == d:
+            dominoes[a], dominoes[c] = ((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1))
+            owner[x, y + 1], owner[x + 1, y] = a, c
+        elif a == c and b == d:
+            dominoes[a], dominoes[b] = ((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1))
+            owner[x + 1, y], owner[x, y + 1] = a, b
+    rng.shuffle(dominoes)
+    return [((p[0], q[0] + 1), (p[1], q[1] + 1)) for p, q in dominoes]
+
+
+@given(st.integers(2, 8), st.integers(0, 2**32), st.booleans())
+def test_overlap_sweep_matches_all_pairs_on_domino_layouts(half, seed, inject):
+    # flipped dominoes chain-overlap on both axes, so the whole layout is
+    # one run and only the sweep separates its boxes
+    rng = random.Random(seed)
+    side = 2 * half
+    boxes = domino_layout(rng, side, 10 * side * side)
+    if inject:
+        w, h = rng.choice([(1, 1), (2, 1), (1, 2)])
+        x, y = rng.randrange(side - w + 1), rng.randrange(side - h + 1)
+        boxes.insert(rng.randrange(len(boxes) + 1), ((x, x + w), (y, y + h)))
+    expected = oracles.all_pairs_overlap_message(boxes)
+    assert (expected is not None) == inject
+    try:
+        FrameRegion(identity(2), tuple(boxes))
+    except InvalidInput as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None

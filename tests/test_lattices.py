@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tessella import lattices
 from tessella.boxes import MAX_COVER_CELLS, MAX_PIECES, FrameRegion, box_volume, make_box
 from tessella.errors import (
     ConditionFails,
@@ -707,3 +708,35 @@ def test_cell_labels_name_the_cosets():
                 assert (cs.left[i] == cs.left[j]) == l1.contains(diff)
                 assert (cs.right[i] == cs.right[j]) == l2.contains(diff)
     assert {(n, split) for n in (1, 2, 3) for split in (False, True)} <= seen
+
+
+def test_one_reduction_per_region_and_lattice(monkeypatch):
+    reduced = []
+    real = lattices.reduce_mod
+
+    def counted(R, basis):
+        reduced.append(R)
+        return real(R, basis)
+
+    monkeypatch.setattr(lattices, "reduce_mod", counted)
+    R = region(([0, 0], [1, 1]), ([1, 0], [2, "1/2"]))
+    wide, tall = L((2, 0), (0, 1)), L((1, 0), (0, 2))
+    assert verify_tiling_exact(R, wide).ok is False
+    assert verify_packing_exact(R, wide).ok is True
+    boundary_count(wide, R)
+    assert len(reduced) == 1
+    # a second lattice object of the same basis reads the same reduction
+    verify_tiling_exact(R, L((2, 0), (0, 1)))
+    assert len(reduced) == 1
+    # the memo holds one lattice: another one reduces, and so does the first again
+    verify_packing_exact(R, tall)
+    verify_tiling_exact(R, tall)
+    assert len(reduced) == 2
+    verify_tiling_exact(R, wide)
+    assert len(reduced) == 3
+    # an equal but distinct region keeps its own reduction
+    twin = region(([0, 0], [1, 1]), ([1, 0], [2, "1/2"]))
+    assert twin == R and twin is not R
+    verify_tiling_exact(twin, wide)
+    verify_packing_exact(twin, wide)
+    assert len(reduced) == 4 and reduced[3] is twin
