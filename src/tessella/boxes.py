@@ -27,7 +27,6 @@ budgeted before the work (TooLarge).
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +37,7 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConstructionFailed, InvalidInput, TooLarge
-from .linalg import IntBasis, Mat, Vec, frac, hnf, mat, mat_mul, mat_vec
+from .linalg import RATIO, IntBasis, Mat, Vec, frac, hnf, mat, mat_mul, mat_vec
 
 Box = tuple[tuple[Fraction, Fraction], ...]
 
@@ -68,19 +67,14 @@ def box_center(b: Box) -> Vec:
     return tuple((lo + hi) / 2 for lo, hi in b)
 
 
-# An ASCII "p" or "p/q" with an optional minus sign, the corner strings
-# `ratio` splits into ints without building a Fraction
-_RATIO = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
-
-
 def ratio(x) -> tuple[int, int]:
     """frac(x) as a reduced (numerator, positive denominator) pair of ints.
 
-    A string matching _RATIO with a nonzero q is split into ints directly;
-    every other value goes through `frac`, so the values accepted and the
-    errors raised are exactly those of `frac`."""
+    A string matching `linalg.RATIO` with a nonzero q is split into ints
+    directly; every other value goes through `frac`, so the values
+    accepted and the errors raised are exactly those of `frac`."""
     if isinstance(x, str):
-        m = _RATIO.fullmatch(x)
+        m = RATIO.fullmatch(x)
         if m is not None:
             p, q = m.groups()
             if q is None:

@@ -17,15 +17,19 @@ a point is put on one scale S that is a multiple of the lattice's
 denominator lcm a and of its own denominators, as the integer triple
 (S x, S^2 c), and the frame coordinates A^-1 x are integer numerators
 over one denominator, read from the lattice's integer form
-(`linalg.IntBasis`). Fractions appear only at the edges: the
-sampler's output, the HeisPoints handed to a candidate's predicates,
-and the returned Reduction and MCReport.
+(`linalg.IntBasis`). The predicates of `malcev_cell` and `psi_cell`
+carry their integer form (`on_scale`), so the Monte Carlo count tests
+every translate on its sample's scale without leaving ints. Fractions
+appear only at the edges: the points a caller passes in, the sampler's
+draws (each one Fraction of ints), the HeisPoints handed to a predicate
+that has no integer form, and the returned Reduction and MCReport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm, log, prod
 from typing import Callable, Optional
 
@@ -228,7 +232,7 @@ class HeisLattice:
 
     def exponents(self, g: HeisPoint) -> Optional[tuple[int, int, int]]:
         """Inverse of element(), or None when g is not in the lattice."""
-        S, (X0, X1, C) = _scaled(self, g.as_tuple())
+        S, (X0, X1, C) = _scaled(self.form.scale, g.as_tuple())
         N0, N1, D = _frame(self, X0, X1, S)
         if N0 % D or N1 % D:
             return None
@@ -250,18 +254,23 @@ class HeisLattice:
 # carries S^2.
 
 
-def _scaled(L: HeisLattice, g) -> tuple[int, tuple[int, int, int]]:
+def _scaled(a: int, g) -> tuple[int, tuple[int, int, int]]:
     """(S, (S x1, S x2, S^2 c)) for g = (x1, x2, c), with
-    S = lcm(a, den x1, den x2, den c)."""
+    S = lcm(a, den x1, den x2, den c); a is a lattice's denominator lcm,
+    or 1 for a predicate's integer form, which is exact on any scale."""
     x1, x2, c = g
-    S = lcm(L.form.scale, x1.denominator, x2.denominator, c.denominator)
+    S = lcm(a, x1.denominator, x2.denominator, c.denominator)
     return S, (x1.numerator * (S // x1.denominator),
                x2.numerator * (S // x2.denominator),
                c.numerator * (S * S // c.denominator))
 
 
 def _unscaled(S: int, v: tuple[int, int, int]) -> HeisPoint:
-    return HeisPoint(Fraction(v[0], S), Fraction(v[1], S), Fraction(v[2], S * S))
+    # the coordinates are Fractions already, so HeisPoint's coercion of
+    # its fields is skipped
+    g = object.__new__(HeisPoint)
+    g.__dict__.update(x1=Fraction(v[0], S), x2=Fraction(v[1], S), c=Fraction(v[2], S * S))
+    return g
 
 
 def _mul_scaled(g: tuple[int, int, int], h: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -290,6 +299,11 @@ def _generator(L: HeisLattice, S: int, n1: int, n2: int, n3: int = 0) -> tuple[i
 def _in_cell(L: HeisLattice, S: int, v: tuple[int, int, int]) -> bool:
     N0, N1, D = _frame(L, v[0], v[1], S)
     return 0 <= N0 < D and 0 <= N1 < D and 0 <= v[2] < S * S
+
+
+def _on_cell_face(L: HeisLattice, S: int, v: tuple[int, int, int]) -> bool:
+    N0, N1, D = _frame(L, v[0], v[1], S)
+    return N0 in (0, D) or N1 in (0, D) or v[2] in (0, S * S)
 
 
 def malcev_lattice_check(A) -> bool:
@@ -340,19 +354,13 @@ class Reduction:
 
 def cell_contains(L: HeisLattice, g: HeisPoint) -> bool:
     """The reduction cell { (A t', t3) : t in [0,1)^3 }, half-open."""
-    return _in_cell(L, *_scaled(L, g.as_tuple()))
+    return _in_cell(L, *_scaled(L.form.scale, g.as_tuple()))
 
 
 def cell_bbox(L: HeisLattice) -> Box:
     """The planar interval box of A [0,1]^2, times the central [0, 1]."""
     lo, hi = interval_image(L.A, (Fraction(0),) * 2, (Fraction(1),) * 2)
     return tuple(zip(lo, hi)) + ((Fraction(0), Fraction(1)),)
-
-
-def _cell_boundary(L: HeisLattice, g: HeisPoint) -> bool:
-    S, (X0, X1, C) = _scaled(L, g.as_tuple())
-    N0, N1, D = _frame(L, X0, X1, S)
-    return N0 in (0, D) or N1 in (0, D) or C in (0, S * S)
 
 
 def _planar_split(L: HeisLattice, z: tuple[int, tuple[int, int, int]]):
@@ -387,7 +395,7 @@ def _reduce(g: HeisPoint, L: HeisLattice, side: str) -> Reduction:
     (ConstructionFailed otherwise). The check covers the integer
     computation, not the exact division back to the returned Fractions;
     the tests pin that against an all-Fraction reference."""
-    z = _scaled(L, g.as_tuple())
+    z = _scaled(L.form.scale, g.as_tuple())
     S, point = z
     n1, n2, P, Q = _planar_split(L, z)
     n3 = (_residue(side, point[2], P, Q) - _generator(L, S, n1, n2)[2]) // (S * S)
@@ -427,42 +435,60 @@ class CandidateDomain:
     boundary: Optional[Callable[[HeisPoint], bool]] = None
 
 
+class _OnScale:
+    """A point predicate with an integer form: on_scale(S, (X0, X1, C))
+    decides the point (X0 / S, X1 / S, C / S^2) for any positive S.
+    Called on a HeisPoint, it puts the point on its own scale (`_scaled`)
+    and runs that same form; the Monte Carlo count calls the form on the
+    scale of its sample."""
+
+    __slots__ = ("on_scale",)
+
+    def __init__(self, on_scale: Callable[[int, tuple[int, int, int]], bool]):
+        self.on_scale = on_scale
+
+    def __call__(self, g: HeisPoint) -> bool:
+        return self.on_scale(*_scaled(1, g.as_tuple()))
+
+
+def _scaled_test(predicate: Callable[[HeisPoint], bool]):
+    """The predicate as a test of (S, (X0, X1, C)): its own integer form,
+    or else the test of that point built as a HeisPoint."""
+    if isinstance(predicate, _OnScale):
+        return predicate.on_scale
+    return lambda S, v: predicate(_unscaled(S, v))
+
+
 def malcev_cell(L: HeisLattice) -> CandidateDomain:
+    """The reduction cell of L. Its predicates read the frame coordinates
+    `_frame`, which are exact on any scale, so they also decide the
+    translates of samples put on the scale of another lattice."""
     return CandidateDomain(
-        contains=lambda g: cell_contains(L, g),
+        contains=_OnScale(partial(_in_cell, L)),
         bbox=cell_bbox(L),
-        boundary=lambda g: _cell_boundary(L, g),
+        boundary=_OnScale(partial(_on_cell_face, L)),
     )
 
 
-def _psi_t3(g: HeisPoint) -> tuple[int, int]:
-    """The inverse-chart coordinate t3 = c - 2 x1 x2 as a numerator over
-    the positive denominator den(c) den(x1) den(x2)."""
-    x1, x2, c = g.x1, g.x2, g.c
-    d12 = x1.denominator * x2.denominator
-    return (c.numerator * d12 - 2 * x1.numerator * x2.numerator * c.denominator,
-            c.denominator * d12)
+def _in_psi(S: int, v: tuple[int, int, int]) -> bool:
+    # t3 = c - 2 x1 x2 is (C - 2 X0 X1) / S^2
+    X0, X1, C = v
+    return 0 <= X0 < S and 0 <= X1 < S and 0 <= C - 2 * X0 * X1 < S * S
+
+
+def _on_psi_face(S: int, v: tuple[int, int, int]) -> bool:
+    X0, X1, C = v
+    return X0 in (0, S) or X1 in (0, S) or C - 2 * X0 * X1 in (0, S * S)
 
 
 def psi_cell() -> CandidateDomain:
     """The heis_exp image of the unit cube; membership via the inverse
     chart t3 = c - 2 x1 x2."""
-
-    def inside(g: HeisPoint) -> bool:
-        n, d = _psi_t3(g)
-        return (0 <= g.x1.numerator < g.x1.denominator
-                and 0 <= g.x2.numerator < g.x2.denominator and 0 <= n < d)
-
-    def on_face(g: HeisPoint) -> bool:
-        n, d = _psi_t3(g)
-        return (g.x1.numerator in (0, g.x1.denominator)
-                or g.x2.numerator in (0, g.x2.denominator) or n in (0, d))
-
     return CandidateDomain(
-        contains=inside,
+        contains=_OnScale(_in_psi),
         bbox=((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)),
               (Fraction(0), Fraction(3))),
-        boundary=on_face,
+        boundary=_OnScale(_on_psi_face),
     )
 
 
@@ -508,7 +534,9 @@ def _translate_counter(candidate: CandidateDomain, action: HeisAction):
     interval pins n3 through the same residue as the reductions. Each
     sample is put on one scale S (`_scaled`); the ranges, the residue and
     the translate are computed in ints, and every surviving translate is
-    tested by exact membership as a HeisPoint.
+    tested on that scale by each predicate's integer form
+    (`_scaled_test`): a predicate without one gets the translate as a
+    HeisPoint.
     """
     L, side = action.lattice, action.side
     (blo1, bhi1), (blo2, bhi2), (blo3, bhi3) = candidate.bbox
@@ -516,10 +544,11 @@ def _translate_counter(candidate: CandidateDomain, action: HeisAction):
     # the planar intervals and the central box interval over one denominator H
     H, ((lo1, lo2, lo3), (hi1, hi2, hi3)) = integer_form((lo + [blo3], hi + [bhi3]))
     bound = prod((h - l) // H + 1 for l, h in ((lo1, hi1), (lo2, hi2), (lo3, hi3)))
-    boundary, contains = candidate.boundary, candidate.contains
+    on_face = None if candidate.boundary is None else _scaled_test(candidate.boundary)
+    inside = _scaled_test(candidate.contains)
 
     def count(z) -> tuple[int, bool]:
-        S, (X0, X1, C) = _scaled(L, z)
+        S, (X0, X1, C) = _scaled(L.form.scale, z)
         S2 = S * S
         N0, N1, D = _frame(L, X0, X1, S)
         DH, S2H = D * H, S2 * H
@@ -529,14 +558,13 @@ def _translate_counter(candidate: CandidateDomain, action: HeisAction):
         for n1 in range(-((hi1 * D - N0 * H) // DH), (N0 * H - lo1 * D) // DH + 1):
             for n2 in range(-((hi2 * D - N1 * H) // DH), (N1 * H - lo2 * D) // DH + 1):
                 G = _generator(L, S, n1, n2)
-                Q = (X0 - G[0], X1 - G[1])
-                e = _residue(side, C, G, Q) - G[2]
-                q1, q2 = Fraction(Q[0], S), Fraction(Q[1], S)
+                Q0, Q1 = X0 - G[0], X1 - G[1]
+                e = _residue(side, C, G, (Q0, Q1)) - G[2]
                 for n3 in range(-((hi3 * S2 - e * H) // S2H), (e * H - lo3 * S2) // S2H + 1):
-                    w = HeisPoint(q1, q2, Fraction(e - n3 * S2, S2))
-                    if boundary is not None and boundary(w):
+                    w = (Q0, Q1, e - n3 * S2)
+                    if on_face is not None and on_face(S, w):
                         tainted = True
-                    if contains(w):
+                    if inside(S, w):
                         n += 1
         return n, tainted
 

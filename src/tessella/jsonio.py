@@ -112,12 +112,40 @@ def box_json(b: Box) -> dict:
             "hi": [fmt_frac(hi) for _, hi in b]}
 
 
+_RATIONAL_TYPES = frozenset((int, str))  # the JSON values parse_frac may accept
+
+
+def _is_rational_array(v) -> bool:
+    """Whether v is a JSON array of entries that pass parse_frac's type
+    checks: JSON integers and strings."""
+    return isinstance(v, list) and _RATIONAL_TYPES.issuperset(map(type, v))
+
+
+def _corner_pairs(obj) -> tuple:
+    """A box's (lo, hi) pairs of JSON values, for FrameRegion to parse;
+    parse_box's error when its fields, their types or their lengths are
+    wrong."""
+    lo, hi = (obj.get("lo"), obj.get("hi")) if isinstance(obj, dict) else (None, None)
+    if not (_is_rational_array(lo) and _is_rational_array(hi) and len(lo) == len(hi)):
+        parse_box(obj)
+    return tuple(zip(lo, hi))
+
+
 def parse_region(obj) -> FrameRegion:
+    """The region of a JSON document. Its corner values go to FrameRegion
+    as given, which reads them as int pairs; on any error, the boxes are
+    parsed again one by one (parse_box), so the error reported is the
+    first one in that order, before the frame's own checks."""
     frame = parse_matrix(_require(obj, "frame", "region"))
     boxes = _require(obj, "boxes", "region")
     if not isinstance(boxes, list):
         raise InvalidInput("region boxes must be a JSON array")
-    return FrameRegion(frame, tuple(parse_box(b) for b in boxes))
+    try:
+        return FrameRegion(frame, tuple(map(_corner_pairs, boxes)))
+    except (InvalidInput, ValueError, ZeroDivisionError):
+        for b in boxes:
+            parse_box(b)
+        raise
 
 
 def region_json(R: FrameRegion) -> dict:

@@ -8,6 +8,7 @@ inverses and lattice coordinates are read from a basis's integer form,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -18,8 +19,17 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 
 
+# An ASCII "p" or "p/q" with an optional minus sign: the strings `frac`
+# (and `boxes.ratio`) split into ints without Fraction's string parser
+RATIO = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
 def frac(x) -> Fraction:
-    """Coerce an int, string ("p/q" or "p"), or Fraction to Fraction."""
+    """Coerce an int, string ("p/q" or "p"), or Fraction to Fraction.
+
+    A string matching RATIO with a nonzero q becomes Fraction(p, q) from
+    its ints; every other string goes to Fraction(x.strip()), which
+    accepts the same values and raises the same errors."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -27,6 +37,14 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        m = RATIO.fullmatch(x)
+        if m is not None:
+            p, q = m.groups()
+            if q is None:
+                return Fraction(int(p))
+            q = int(q)
+            if q:
+                return Fraction(int(p), q)
         return Fraction(x.strip())
     raise ValueError(f"not an exact rational: {x!r}")
 

@@ -1,9 +1,10 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tessella import heis
 from tessella.errors import (
@@ -452,6 +453,87 @@ def test_thick_faces_resample():
         cand.bbox, 40, 3)
 
 
+# The library candidates carry integer forms of their predicates, which
+# the translate count calls on each sample's scale. `_faces` keeps both
+# library predicates only for exact faces without a cut, so these cases
+# run that path, and a mix of both paths, against the all-Fraction
+# reference.
+
+
+def _reference(L):
+    """The all-Fraction form of malcev_cell(L) (or psi_cell() for L None)."""
+    return oracles.fraction_psi_cell() if L is None else oracles.fraction_malcev_cell(L)
+
+
+def _assert_same_report(cand, ref, action, window, samples, seed):
+    got = mc_verify_tiling(cand, action, window, samples, seed)
+    assert got == oracles.fraction_mc_verify_tiling(ref, action, window, samples, seed)
+
+
+@given(heis_lattices(), sides, st.sampled_from(["cell", "psi"]),
+       st.lists(st.builds(Fraction, st.integers(0, 2), st.integers(1, 4)),
+                min_size=6, max_size=6),
+       st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_library_candidates_equal_fraction_reference(L, side, which, margins, samples, seed):
+    own = L if which == "cell" else None
+    cand = malcev_cell(L) if which == "cell" else psi_cell()
+    window = tuple((lo - margins[2 * i], hi + margins[2 * i + 1])
+                   for i, (lo, hi) in enumerate(cand.bbox))
+    _assert_same_report(cand, _reference(own), HeisAction(side, L), window,
+                        samples, seed)
+
+
+@given(heis_lattices(), heis_lattices(), sides, st.integers(1, 6), st.integers(0, 2 ** 32))
+def test_cell_under_another_lattice_equals_fraction_reference(L1, L2, side, samples, seed):
+    # the samples sit on the scale of L2, whose denominators differ from L1's
+    assume(L1.form.scale != L2.form.scale)
+    cand, action = malcev_cell(L1), HeisAction(side, L2)
+    assume(heis._translate_counter(cand, action)[0] <= 200)
+    _assert_same_report(cand, _reference(L1), action, cand.bbox, samples, seed)
+
+
+@given(heis_lattices(), sides, st.sampled_from(["cell", "psi"]),
+       st.sampled_from(["boundary", "contains"]), st.integers(1, 8), st.integers(0, 2 ** 32))
+def test_one_predicate_replaced_equals_fraction_reference(L, side, which, replaced,
+                                                         samples, seed):
+    # one predicate keeps its integer form, the other is a plain HeisPoint test
+    own = L if which == "cell" else None
+    cand = malcev_cell(L) if which == "cell" else psi_cell()
+    # thick faces resample most draws, each costing the reference `bound` tests
+    assume(heis._translate_counter(cand, HeisAction(side, L))[0] <= 16)
+    ref = _reference(own)
+    if replaced == "boundary":
+        thick = lambda g: 4 * g.x1 < 1 or 4 * g.c < 1  # noqa: E731
+        cand = CandidateDomain(cand.contains, cand.bbox, thick)
+        ref = CandidateDomain(ref.contains, ref.bbox, thick)
+    else:
+        cand = CandidateDomain(lambda g, f=cand.contains: f(g) and 2 * g.c < 1,
+                               cand.bbox, cand.boundary)
+        ref = CandidateDomain(lambda g, f=ref.contains: f(g) and 2 * g.c < 1,
+                              ref.bbox, ref.boundary)
+    _assert_same_report(cand, ref, HeisAction(side, L), cand.bbox, samples, seed)
+
+
+@given(heis_lattices(), unit_coords, unit_coords, unit_coords, st.integers(1, 6))
+def test_on_scale_equals_fraction_forms(L, t1, t2, t3, k):
+    # points on and near the faces, handed over on k times their own scale
+    x = mat_vec(L.A, (t1, t2))
+    cases = (
+        (malcev_cell(L), HeisPoint(x[0], x[1], t3),
+         lambda g: oracles.fraction_cell_contains(L, g),
+         lambda g: oracles.fraction_cell_boundary(L, g)),
+        (psi_cell(), HeisPoint(t1, t2, t3 + 2 * t1 * t2),
+         oracles.fraction_psi_contains, oracles.fraction_psi_boundary),
+    )
+    for cand, g, inside, on_face in cases:
+        S = k * math.lcm(g.x1.denominator, g.x2.denominator, g.c.denominator)
+        v = (int(g.x1 * S), int(g.x2 * S), int(g.c * S * S))
+        assert cand.contains.on_scale(S, v) == inside(g)
+        assert cand.boundary.on_scale(S, v) == on_face(g)
+        assert cand.contains(g) == inside(g)
+        assert cand.boundary(g) == on_face(g)
+
+
 def test_resampled_draws_stay_within_the_budget(monkeypatch):
     # every draw lands on a face, so only the cap ends the resampling
     L = HeisLattice.standard()
@@ -498,7 +580,7 @@ def test_cell_predicates_equal_fraction_forms(L, t1, t2, t3):
     x = mat_vec(L.A, (t1, t2))
     g = HeisPoint(x[0], x[1], t3)
     assert cell_contains(L, g) == oracles.fraction_cell_contains(L, g)
-    assert heis._cell_boundary(L, g) == oracles.fraction_cell_boundary(L, g)
+    assert malcev_cell(L).boundary(g) == oracles.fraction_cell_boundary(L, g)
     in_lattice = (t1.denominator == 1 and t2.denominator == 1
                   and (t3 - t1 * t2 * L.planar_det).denominator == 1)
     assert L.contains(g) == in_lattice

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tessella.boxes import FrameRegion, make_box
 from tessella.errors import InvalidInput
@@ -86,6 +87,59 @@ def test_region_json_of_constructed_region():
     R = FrameRegion(identity(2), (make_box((0, 0), (1, 1)),))
     doc = region_json(R)
     assert parse_region(doc).measure == R.measure
+
+
+# parse_region hands the corner values to FrameRegion as given; its value
+# or first error must be that of parsing every box to Fractions first.
+good_values = st.sampled_from([0, 1, 2, 3, -1, "0", "1/2", "3/2", " 2 ", "1.5", "-1/3", "7/4"])
+bad_values = st.sampled_from(["abc", "1/0", "", 1.5, True, None, [1], {}])
+good_corners = st.lists(good_values, min_size=2, max_size=2)
+corners = st.one_of(good_corners, good_corners, good_corners,
+                    st.lists(st.one_of(good_values, bad_values), max_size=3), bad_values)
+json_boxes = st.one_of(
+    st.fixed_dictionaries({"lo": good_corners, "hi": good_corners}),
+    st.fixed_dictionaries({"lo": corners, "hi": corners}),
+    st.fixed_dictionaries({"lo": corners}),
+    st.fixed_dictionaries({"hi": corners}),
+    st.sampled_from([None, 3, "box", []]))
+frames = st.sampled_from([[["1", "0"], ["0", "1"]], [["1", "1/2"], ["0", "1"]],
+                          [["1", "0"], ["2", "0"]], [["1", "0"]], [["2"]]])
+
+
+def _region_by_boxes(obj):
+    """The parse that built a Fraction box per JSON box before the region."""
+    frame = parse_matrix(obj["frame"])
+    return FrameRegion(frame, tuple(parse_box(b) for b in obj["boxes"]))
+
+
+def _parsed(parse, obj):
+    try:
+        return "region", parse(obj)
+    except InvalidInput as exc:
+        return "error", str(exc)
+
+
+@given(frames, st.lists(json_boxes, max_size=3))
+def test_parse_region_equals_the_parse_by_boxes(frame, boxes):
+    doc = {"frame": frame, "boxes": boxes}
+    assert _parsed(parse_region, doc) == _parsed(_region_by_boxes, doc)
+
+
+@pytest.mark.parametrize("boxes", [
+    [{"lo": ["0", "0"], "hi": ["0", "1"]}, {"lo": ["x"], "hi": ["1"]}],
+    [{"lo": ["0", "0"], "hi": ["1", "1"]}, {"lo": [1.5], "hi": ["1"]}],
+    [{"lo": ["0", "0"], "hi": ["1", "1"]}, {"lo": ["0", "0"], "hi": ["2", "1/0"]}],
+    [{"lo": ["0"], "hi": ["1"]}, {"lo": ["0", "0"], "hi": ["1"]}],
+    [{"lo": ["0", "0"], "hi": ["2", "2"]}, {"lo": ["1", "1"], "hi": ["3", "3"]}],
+    # a Fraction is no JSON value: parse_frac refuses it, though FrameRegion would not
+    [{"lo": ["0", "0"], "hi": ["1", "1"]}, {"lo": [Fraction(1), "1"], "hi": ["2", "2"]}],
+])
+def test_parse_region_reports_the_first_error_by_boxes(boxes):
+    for frame in ([["1", "0"], ["0", "1"]], [["1", "0"], ["2", "0"]]):
+        doc = {"frame": frame, "boxes": boxes}
+        got = _parsed(parse_region, doc)
+        assert got[0] == "error"
+        assert got == _parsed(_region_by_boxes, doc)
 
 
 def finite_payload():

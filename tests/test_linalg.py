@@ -325,3 +325,36 @@ def test_mat_vec_transpose():
     m = mat([[1, 2], [3, 4]])
     assert mat_vec(m, vec([1, 1])) == (3, 7)
     assert transpose(m) == ((1, 3), (2, 4))
+
+
+# Strings near the "p" / "p/q" fast path of `frac`: signs, zeros, ASCII and
+# other whitespace, decimals, exponents, underscores and non-ASCII digits.
+ratio_strings = st.lists(
+    st.sampled_from(["0", "1", "7", "00", "-", "+", "/", " ", "\t", "\n", " ",
+                     " ", "\x1c", ".", "e", "_", "٣", "x"]),
+    max_size=8).map("".join)
+
+
+def _outcome(f, s):
+    try:
+        return "value", f(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(ratio_strings, st.builds("{}/{}".format, st.integers(-10 ** 30, 10 ** 30),
+                                          st.integers(0, 10 ** 30))))
+def test_frac_of_a_string_is_fraction_of_it_stripped(s):
+    assert _outcome(frac, s) == _outcome(lambda t: Fraction(t.strip()), s)
+
+
+@pytest.mark.parametrize("s, want", [
+    ("1/0", ZeroDivisionError), ("5/00", ZeroDivisionError), ("1.5", Fraction(3, 2)),
+    ("1e3", Fraction(1000)), ("٣", Fraction(3)), (" -4/6 ", Fraction(-2, 3)),
+    ("+2", Fraction(2)), ("1 /2", ValueError)])
+def test_frac_strings_beside_the_fast_path(s, want):
+    if isinstance(want, Fraction):
+        assert frac(s) == want
+    else:
+        with pytest.raises(want):
+            frac(s)
