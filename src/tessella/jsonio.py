@@ -15,15 +15,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .boxes import Box, FrameRegion, make_box
-from .errors import InvalidInput
+from .errors import InvalidInput, TooLarge
 from .finite import (
     ActionPair,
     FiniteAction,
     FiniteGroup,
     FiniteMeasureSpace,
 )
-from .heis import HeisAut, HeisLattice, HeisPoint, LieVec
+from .heis import HeisLattice, HeisPoint, LieVec
 from .lattices import EucLattice, TSComponent, TranslationSystem
+from .linalg import RATIO
 
 KINDS = ("finite", "euclidean", "translation-system", "heisenberg")
 
@@ -33,11 +34,28 @@ def schema_tag(kind: str) -> str:
 
 
 def parse_frac(v) -> Fraction:
+    """A JSON integer or rational string as a Fraction.
+
+    A string matching `linalg.RATIO` with a nonzero q is split into ints
+    directly; every other string, and one whose ints cannot be read, goes
+    to Fraction(v), so the values accepted and the errors raised are
+    exactly those of Fraction(v)."""
     if isinstance(v, bool) or isinstance(v, float):
         raise InvalidInput(f"exact rational required, got {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        m = RATIO.fullmatch(v)
+        if m is not None:
+            p, q = m.groups()
+            try:
+                if q is None:
+                    return Fraction(int(p))
+                q = int(q)
+                if q:
+                    return Fraction(int(p), q)
+            except ValueError:
+                pass  # over the int string limit: Fraction(v) raises its own error
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
@@ -46,7 +64,12 @@ def parse_frac(v) -> Fraction:
 
 
 def fmt_frac(q: Fraction) -> str:
-    return str(Fraction(q))
+    """q as "p/q", or "p" when q is an integer; TooLarge when a part has
+    more digits than the interpreter's int string limit."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise TooLarge(f"a report number cannot be printed: {exc}")
 
 
 def _require(obj, key, kind=""):
@@ -96,10 +119,6 @@ def parse_lattice(obj) -> EucLattice:
     if not _is_int(dim) or dim != len(basis) or any(len(r) != dim for r in basis):
         raise InvalidInput("lattice dim does not match the basis shape")
     return EucLattice(basis)
-
-
-def lattice_json(L: EucLattice) -> dict:
-    return {"dim": L.dim, "basis": matrix_json(L.basis)}
 
 
 def parse_box(obj) -> Box:
@@ -266,14 +285,6 @@ def parse_heis_lattice(obj) -> HeisLattice:
     return HeisLattice(parse_matrix(_require(obj, "A", "lattice")))
 
 
-def heis_lattice_json(L: HeisLattice) -> dict:
-    return {"A": matrix_json(L.A)}
-
-
-def parse_heis_aut(obj) -> HeisAut:
-    return HeisAut(parse_matrix(_require(obj, "A", "automorphism")))
-
-
 def load_instance(path: str):
     """Read and envelope-check an instance file: (kind, payload)."""
     try:
@@ -297,4 +308,10 @@ def instance_envelope(doc):
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report's canonical text; TooLarge when one of its ints has more
+    digits than the interpreter's int string limit (the only ValueError
+    json.dumps raises on a report of dicts, lists, strings and numbers)."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    except ValueError as exc:
+        raise TooLarge(f"a report number cannot be printed: {exc}")

@@ -353,6 +353,27 @@ def ball_sizes_via_matrices(n_max):
     return sizes
 
 
+def ball_sizes_bfs(n_max):
+    """Ball sizes |B_0|..|B_n| by breadth-first search on integer triples
+    under the coordinate product, with the four standard generators; the
+    reference for the library's closed form."""
+    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    seen = {(0, 0, 0)}
+    frontier = [(0, 0, 0)]
+    sizes = [1]
+    for _ in range(n_max):
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                w = (g[0] + h[0], g[1] + h[1], g[2] + g[0] * h[1] - g[1] * h[0])
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+        sizes.append(len(seen))
+    return sizes
+
+
 # ---------------------------------------------------- Heisenberg kernels
 # The Fraction forms of the per-point kernels that `tessella.heis` runs on
 # scaled integers: frame coordinates by A^-1 as a Fraction matrix, the
@@ -799,3 +820,27 @@ def _fraction_volume(vertices, halfspaces, x0, n):
         for a, b in zip(ordered[1:], ordered[2:]):
             vol += abs(det((q0, vec_sub(a, x0), vec_sub(b, x0))))
     return vol / 6
+
+
+# ----------------------------------------------------- JSON round trips
+# Writers and readers for values that no command prints or reads; the
+# round-trip tests of tests/test_jsonio.py use them.
+
+
+def lattice_json(L):
+    from tessella.jsonio import matrix_json
+
+    return {"dim": L.dim, "basis": matrix_json(L.basis)}
+
+
+def heis_lattice_json(L):
+    from tessella.jsonio import matrix_json
+
+    return {"A": matrix_json(L.A)}
+
+
+def parse_heis_aut(obj):
+    from tessella.heis import HeisAut
+    from tessella.jsonio import _require, parse_matrix
+
+    return HeisAut(parse_matrix(_require(obj, "A", "automorphism")))

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -438,3 +439,23 @@ def test_verify_over_the_piece_budget_exits_4(tmp_path, capsys):
     assert captured.err == (f"error: up to 10000001 pieces exceed the budget of "
                             f"{MAX_PIECES}\n")
     assert elapsed < 1.0
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6000,
+    reason="this interpreter prints a 6000-digit int")
+def test_unprintable_report_exits_4(tmp_path, capsys):
+    # two points with 3000-digit denominators: the product's coordinates
+    # have over 6000 digits, past the default int string limit of 4300
+    d1, d2 = "1" + "0" * 2999 + "7", "3" + "0" * 2999 + "1"
+    doc = {"schema": "tessella-heisenberg/1",
+           "lattice": {"A": [["1", "0"], ["0", "1"]]},
+           "points": [{"x1": f"1/{d1}", "x2": f"1/{d2}", "c": "0"},
+                      {"x1": f"1/{d2}", "x2": f"1/{d1}", "c": "0"}]}
+    path = tmp_path / "long_digits.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["heis", "mul", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: a report number cannot be printed: ")

@@ -660,6 +660,12 @@ def test_ball_sizes_match_matrix_model():
     assert discrete_ball_growth(8) == oracles.ball_sizes_via_matrices(8)
 
 
+def test_closed_form_matches_search_to_the_limit():
+    sizes = oracles.ball_sizes_bfs(30)
+    for n in range(31):
+        assert discrete_ball_growth(n) == sizes[:n + 1]
+
+
 def test_growth_exponent_is_quartic():
     sizes = discrete_ball_growth(30)
     assert sizes[0] == 1 and sizes[1] == 5

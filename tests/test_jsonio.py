@@ -1,24 +1,22 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tessella.boxes import FrameRegion, make_box
-from tessella.errors import InvalidInput
+from tessella.errors import InvalidInput, TooLarge
 from tessella.heis import HeisLattice, HeisPoint
 from tessella.jsonio import (
     dumps_report,
     fmt_frac,
-    heis_lattice_json,
     heis_point_json,
     instance_envelope,
-    lattice_json,
     load_instance,
     parse_box,
     parse_finite,
     parse_frac,
-    parse_heis_aut,
     parse_heis_lattice,
     parse_heis_point,
     parse_lattice,
@@ -33,6 +31,8 @@ from tessella.jsonio import (
 from tessella.lattices import EucLattice
 from tessella.linalg import identity
 
+import oracles
+
 
 def test_fraction_forms():
     assert parse_frac("3/4") == Fraction(3, 4)
@@ -40,6 +40,56 @@ def test_fraction_forms():
     assert parse_frac(5) == 5
     assert fmt_frac(Fraction(8, 4)) == "2"
     assert fmt_frac(Fraction(-1, 3)) == "-1/3"
+
+
+def _fraction_of(v):
+    """What parse_frac returned for a string when it was Fraction(v)."""
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational {v!r}: {exc}"
+
+
+def _parse_frac_outcome(v):
+    try:
+        return parse_frac(v)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("v, expected", [
+    (" 1/2 ", Fraction(1, 2)),
+    ("+1/2", Fraction(1, 2)),
+    ("-0/5", Fraction(0)),
+    ("1.5", Fraction(3, 2)),
+    ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+    ("", "bad rational '': Invalid literal for Fraction: ''"),
+])
+def test_rational_strings_pinned(v, expected):
+    assert _parse_frac_outcome(v) == expected == _fraction_of(v)
+
+
+@pytest.mark.parametrize("v", [
+    "1" * 4301, "-" + "1" * 4301, "1/" + "3" * 4301, "1" * 4301 + "/0", "\t5/10\n",
+    "1_000", "1e3", "0/0", "1 /2", "--1", "1/-2", "\u0663", "1/2\x1c",
+])
+def test_rational_strings_parse_as_fraction_does(v):
+    # past the int string limit a numerator is refused with Fraction's own
+    # message; an interpreter without the limit reads it
+    assert _parse_frac_outcome(v) == _fraction_of(v)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter prints ints of any length")
+def test_unprintable_numbers_are_too_large():
+    huge = 10 ** sys.get_int_max_str_digits()
+    assert fmt_frac(Fraction(1, 3)) == "1/3"
+    with pytest.raises(TooLarge):
+        fmt_frac(Fraction(1, huge))
+    with pytest.raises(TooLarge):
+        fmt_frac(huge)
+    with pytest.raises(TooLarge):
+        dumps_report({"sizes": [1, huge]})
 
 
 @pytest.mark.parametrize("bad", [0.5, True, None, "1/0", "x", [1]])
@@ -62,7 +112,7 @@ def test_lattice_roundtrip():
     doc = {"dim": 2, "basis": [["1/2", "0"], ["0", "2"]]}
     L = parse_lattice(doc)
     assert isinstance(L, EucLattice)
-    assert lattice_json(L) == doc
+    assert oracles.lattice_json(L) == doc
     with pytest.raises(InvalidInput):
         parse_lattice({"dim": 3, "basis": [["1", "0"], ["0", "1"]]})
 
@@ -272,8 +322,8 @@ def test_heis_values_roundtrip():
     assert (v.u1, v.u2, v.u3) == (1, 0, Fraction(1, 2))
     L = parse_heis_lattice({"A": [["1", "0"], ["0", "1/2"]]})
     assert isinstance(L, HeisLattice)
-    assert heis_lattice_json(L) == {"A": [["1", "0"], ["0", "1/2"]]}
-    alpha = parse_heis_aut({"A": [["2", "0"], ["0", "1/2"]]})
+    assert oracles.heis_lattice_json(L) == {"A": [["1", "0"], ["0", "1/2"]]}
+    alpha = oracles.parse_heis_aut({"A": [["2", "0"], ["0", "1/2"]]})
     assert alpha.A == ((2, 0), (0, Fraction(1, 2)))
 
 
